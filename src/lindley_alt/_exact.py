@@ -1,4 +1,4 @@
-"""Extended-precision assembly for high-degree solves.
+"""Exact rational weights and the double/extended crossover degree.
 
 At degree n the derivative-hierarchy weights mix factorial ratios up to n!
 with the input coefficients (themselves binomially large for polynomial
@@ -8,70 +8,26 @@ a small difference of terms that dwarf it. The lost digits grow roughly
 like log10(n!), so double precision runs out in the mid-teens: measured on
 fit corpora, integral-equation residuals cross 1e-9 at degree 15 and the
 computed density dips visibly negative (beyond the -1e-8 postcondition) by
-degree 17. This module rebuilds the identical pipeline in exact rational
-arithmetic (the weights and characteristic coefficients are dyadic
-rationals, so :class:`fractions.Fraction` is lossless) and arbitrary-
-precision floating point (mpmath) for the transcendental stages, handing
-back correctly rounded double-precision artifacts. The solver switches to
-it above :data:`EXTENDED_DEGREE`; below that the pure double pipeline is
-already accurate to ~1e-13 and much faster.
-
-Everything here is deterministic: the working precision is a fixed function
-of the degree, and no state leaks between calls (``mp.workdps`` scopes the
-precision).
+degree 17. The weights and characteristic coefficients are dyadic
+rationals, so :class:`fractions.Fraction` computes them losslessly; above
+:data:`EXTENDED_DEGREE` the solver runs every later stage in the extended
+numeric context of :mod:`lindley_alt._numeric`, and below it the double
+context is already accurate to ~1e-13 and much faster.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-import numpy as np
+from .errors import AsymmetryDetected
 
-from .distributions import ExponentialService, PolynomialCdf
-from .errors import (
-    AsymmetryDetected,
-    ConvergenceFailure,
-    DegenerateMode,
-    RepeatedRoot,
-)
-
-#: Largest degree handled by the pure double-precision pipeline. Measured
-#: over fit corpora (triangular + random piecewise, two rates each): through
-#: degree 12 the double path keeps integral-equation residuals below 6e-12
-#: and density dips above -4e-12; residuals first cross 1e-9 at degree 15.
+#: Largest degree handled by the double-precision context. Measured over fit
+#: corpora (triangular + random piecewise, two rates each): through degree
+#: 12 the double context keeps integral-equation residuals below 6e-12 and
+#: density dips above -4e-12; residuals first cross 1e-9 at degree 15.
 #: Threshold = that crossing minus a safety margin.
 EXTENDED_DEGREE = 12
-
-#: Working decimal digits as a function of degree. The cancellation depth
-#: of the weight sums and tail evaluations grows like log10(n!) + the
-#: coefficient dynamic range; 3 digits per degree plus a fixed floor covers
-#: both with >= 25 digits to spare for every degree up to the fit cap (40).
-def _working_dps(n: int) -> int:
-    return 40 + 3 * n
-
-
-@dataclass(frozen=True)
-class ExtendedAssembly:
-    """Correctly rounded double-precision artifacts of one extended solve.
-
-    Mirrors exactly what the double pipeline produces ahead of the linear
-    solve, plus the solved strength/atom vector itself (the linear system is
-    also solved in extended precision, so ill-conditioning of its double
-    image cannot contaminate the strengths).
-    """
-
-    nu: tuple[float, ...]
-    char_poly: tuple[float, ...]
-    ordered_roots: np.ndarray
-    basis: list  # (root, head, tail) per representative, complex doubles
-    vectors: list  # (zeta, theta, partner_zeta, partner_theta) per rep
-    couplings: list  # (coupling, anchored_coupling) per rep, or None if singular
-    solution: np.ndarray  # strengths + atom, complex doubles
-    condition_number: float  # of the equilibrated double image (diagnostic)
 
 
 def exact_nu(coeffs: tuple[float, ...], rate: float) -> list[Fraction]:
@@ -99,8 +55,7 @@ def exact_char(nu_fr: list[Fraction], rate: float) -> list[Fraction]:
     """Characteristic coefficients r^{2n}(r^2 - mu^2) + (-1)^n S(r)S(-r), exact.
 
     In exact arithmetic the odd coefficients vanish identically; the guard
-    below is the internal bug tripwire for that invariant, matching the
-    double path's check.
+    below is the internal bug tripwire for that invariant.
     """
     n = len(nu_fr) - 1
     mu = Fraction(rate)
@@ -121,312 +76,9 @@ def exact_char(nu_fr: list[Fraction], rate: float) -> list[Fraction]:
     return coeffs
 
 
-def _fr(x: Fraction) -> mp.mpf:
-    """Fraction to mpf at the current working precision (correctly rounded)."""
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-
-
-def _safe_float(x: Fraction) -> float:
+def safe_float(x: Fraction) -> float:
     """Fraction to double, saturating to +-inf instead of raising."""
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
-
-
-def _to_complex(z) -> complex:
-    """mpc/mpf to a double complex, overflowing to inf instead of raising."""
-    def part(v):
-        try:
-            return float(v)
-        except OverflowError:
-            return math.copysign(math.inf, mp.sign(v))
-
-    return complex(part(mp.re(z)), part(mp.im(z)))
-
-
-def _polish_root(char_mp, dchar_mp, seed: complex, dps: int):
-    """Newton-polish one root of the characteristic polynomial in mpmath."""
-    r = mp.mpc(seed)
-    floor = mp.mpf(10) ** (-(dps - 12))
-    for _ in range(80):
-        val = mp.mpc(0)
-        scale = mp.mpf(0)
-        power = mp.mpc(1)
-        pmag = mp.mpf(1)
-        mag = abs(r)
-        for a in char_mp:
-            val += a * power
-            scale += abs(a) * pmag
-            power *= r
-            pmag *= mag
-        if abs(val) <= floor * scale:
-            return r
-        dval = mp.mpc(0)
-        power = mp.mpc(1)
-        for a in dchar_mp:
-            dval += a * power
-            power *= r
-        if dval == 0:
-            break
-        r -= val / dval
-    raise ConvergenceFailure(
-        f"extended-precision Newton polish stalled near root {complex(seed):.6g}"
-    )
-
-
-def _mp_moments(kmax: int, r, dps: int) -> list:
-    """I_0..I_kmax with I_k = integral_0^1 y^k exp(r*y) dy, in mpmath.
-
-    Same regime split as the double implementation: Taylor series near 0,
-    upward recurrence while contractive, zero-seeded downward above.
-    """
-    mag = abs(r)
-    eps = mp.mpf(10) ** (-(dps + 5))
-    if mag < mp.mpf("1e-4"):
-        out = []
-        for k in range(kmax + 1):
-            term = mp.mpc(1)
-            total = term / (k + 1)
-            m = 0
-            while m < 8 * dps:
-                m += 1
-                term *= r / m
-                inc = term / (k + m + 1)
-                total += inc
-                if abs(inc) <= eps * abs(total):
-                    break
-            out.append(total)
-        return out
-
-    er = mp.exp(r)
-    out = [(er - 1) / r]
-    k_up = min(kmax, int(mag))
-    for k in range(1, k_up + 1):
-        out.append((er - k * out[k - 1]) / r)
-    if k_up == kmax:
-        return out
-
-    start = max(kmax, int(mp.ceil(mag)))
-    shrink = mp.mpf(1)
-    while shrink > eps and start < kmax + 40 * dps:
-        start += 1
-        shrink *= min(mp.mpf(1), mag / start)
-    high = [mp.mpc(0)] * (start + 1)
-    for k in range(start, k_up + 1, -1):
-        high[k - 1] = (er - r * high[k]) / k
-    return out + high[k_up + 1 : kmax + 1]
-
-
-def _scaled_tail_sum_mp(nu_mp, r, n: int):
-    """S(r) / r^n in mpmath (Horner in 1/r)."""
-    acc = mp.mpc(0)
-    inv = 1 / r
-    for i in range(n):
-        acc = (acc + nu_mp[i]) * inv
-    return acc
-
-
-def _plain_tail_sum_mp(nu_mp, r, n: int):
-    """S(r) = sum_{i<n} nu_i r^i in mpmath (plain Horner)."""
-    acc = mp.mpc(0)
-    for i in reversed(range(n)):
-        acc = acc * r + nu_mp[i]
-    return acc
-
-
-def _pair_coefficients_mp(r, nu_mp, mu, n: int):
-    """Balanced (head, tail) for one pair column, in mpmath."""
-    if abs(r) >= 1:
-        head = _scaled_tail_sum_mp(nu_mp, r, n)
-        tail = r - mu
-    else:
-        head = _plain_tail_sum_mp(nu_mp, r, n)
-        tail = r**n * (r - mu)
-    scale = max(abs(head), abs(tail))
-    if scale == 0:
-        raise DegenerateMode(f"pair column vanished at root {complex(r):.6g}")
-    return head / scale, tail / scale
-
-
-def _mode_rows_mp(r, nu_mp, mu, n: int) -> np.ndarray:
-    """The scale-balanced 2x2 mode system at r, rounded to double entries."""
-    sign = -1 if (n + 1) % 2 else 1
-    if abs(r) >= 1:
-        s_p = _scaled_tail_sum_mp(nu_mp, r, n)
-        s_m = _scaled_tail_sum_mp(nu_mp, -r, n) * (-1 if n % 2 else 1)
-        rows = [[r - mu, -s_p], [-sign * s_m, r + mu]]
-    else:
-        s_p = _plain_tail_sum_mp(nu_mp, r, n)
-        s_m = _plain_tail_sum_mp(nu_mp, -r, n)
-        rn = r**n
-        rows = [[rn * (r - mu), -s_p], [-sign * s_m, rn * (r + mu)]]
-    return np.array([[_to_complex(v) for v in row] for row in rows], dtype=complex)
-
-
-def _coupling_mp(r, zeta, partner_zeta, nu_mp, mu, n: int):
-    """(coupling, anchored_coupling) in mpmath, or None when singular."""
-    if abs(r) >= 1:
-        s_val = _scaled_tail_sum_mp(nu_mp, r, n)
-        s_scale = mp.fsum(abs(nu_mp[i]) * abs(r) ** (i - n) for i in range(n))
-        numerator = mp.mpc(zeta) * (r - mu)
-    else:
-        s_val = _plain_tail_sum_mp(nu_mp, r, n)
-        s_scale = mp.fsum(abs(nu_mp[i]) * abs(r) ** i for i in range(n))
-        numerator = mp.mpc(zeta) * r**n * (r - mu)
-    if abs(s_val) < mp.mpf("1e-12") * max(s_scale, mp.mpf("1e-300")):
-        return None
-    anchored = numerator / (mp.mpc(partner_zeta) * s_val)
-    if mp.re(r) > 709:
-        coupling = complex(math.inf, 0.0)
-    else:
-        coupling = _to_complex(anchored * mp.exp(r))
-    return coupling, _to_complex(anchored)
-
-
-def extended_assembly(
-    prep: PolynomialCdf,
-    svc: ExponentialService,
-    squared_root_seeds,
-    pair_fn,
-    null_vector_fn,
-    equilibrate_fn,
-) -> ExtendedAssembly:
-    """Run the full assembly pipeline in extended precision.
-
-    The callables are injected from the solver so both pipelines share one
-    implementation of the parts that are precision-independent: seed root
-    extraction and the repeated-root guard (``squared_root_seeds``), the
-    deterministic pair ordering (``pair_fn``), the 2x2 nullspace extraction
-    with its residual check (``null_vector_fn``), and the power-of-two
-    equilibration used for the diagnostic condition number
-    (``equilibrate_fn``).
-    """
-    n = prep.degree
-    mu_f = svc.rate
-    dps = _working_dps(n)
-
-    nu_fr = exact_nu(prep.coeffs, mu_f)
-    char_fr = exact_char(nu_fr, mu_f)
-    nu_floats = tuple(_safe_float(v) for v in nu_fr)
-    char_floats = tuple(_safe_float(v) for v in char_fr)
-    # power-of-two rescale in exact arithmetic: keeps the double image of the
-    # coefficients (used only for root seeds) finite at any degree
-    top = max(abs(v) for v in char_fr)
-    shift = top.numerator.bit_length() - top.denominator.bit_length()
-    char_seeds = tuple(float(v / Fraction(2) ** shift) for v in char_fr)
-
-    with mp.workdps(dps):
-        mu = mp.mpf(mu_f)
-        nu_mp = [_fr(v) for v in nu_fr]
-        char_mp = [_fr(v) for v in char_fr]
-        dchar_mp = [k * a for k, a in enumerate(char_mp)][1:]
-
-        # seeds from the squared-variable companion matrix (double), with
-        # the repeated-root guard applied there, then polished in mpmath
-        s_seeds = squared_root_seeds(char_seeds)
-        polished = [
-            _polish_root(char_mp, dchar_mp, cmath.sqrt(complex(s)), dps)
-            for s in s_seeds
-        ]
-        for i in range(len(polished)):
-            for j in range(i + 1, len(polished)):
-                gap = abs(polished[i] - polished[j])
-                scale = max(abs(polished[i]), abs(polished[j]))
-                if gap < 1e-9 * scale:
-                    raise RepeatedRoot(
-                        f"extended-precision polish collapsed roots near "
-                        f"{_to_complex(polished[i]):.6g}"
-                    )
-        by_double: dict[tuple[float, float], object] = {}
-        for r in polished:
-            for cand in (r, -r):
-                z = _to_complex(cand)
-                by_double[(z.real, z.imag)] = cand
-        doubles = np.asarray(
-            [_to_complex(r) for r in polished]
-            + [-_to_complex(r) for r in polished],
-            dtype=complex,
-        )
-        ordered = pair_fn(doubles)
-        reps_d = ordered[: n + 1]
-        reps_mp = [by_double[(z.real, z.imag)] for z in reps_d]
-
-        basis = []
-        vectors = []
-        couplings = []
-        tables = []
-        for r in reps_mp:
-            head, tail = _pair_coefficients_mp(r, nu_mp, mu, n)
-            zeta, theta = null_vector_fn(_mode_rows_mp(r, nu_mp, mu, n), _to_complex(r))
-            pzeta, ptheta = null_vector_fn(
-                _mode_rows_mp(-r, nu_mp, mu, n), _to_complex(-r)
-            )
-            couplings.append(_coupling_mp(r, zeta, pzeta, nu_mp, mu, n))
-            vectors.append((zeta, theta, pzeta, ptheta))
-            basis.append((_to_complex(r), _to_complex(head), _to_complex(tail)))
-
-            emr = mp.exp(-r)
-            plus = _mp_moments(n, r, dps)  # then anchored via emr
-            minus = _mp_moments(n, -r, dps)
-            at0 = []
-            at1 = []
-            mom = []
-            rpow = mp.mpc(1)
-            npow = mp.mpc(1)
-            for m_idx in range(n + 1):
-                at0.append(head * rpow * emr + tail * npow)
-                at1.append(head * rpow + tail * npow * emr)
-                mom.append(head * emr * plus[m_idx] + tail * minus[m_idx])
-                rpow *= r
-                npow *= -r
-            integral = (head + tail) * (1 - emr) / r
-            tables.append((at0, at1, mom, integral))
-
-        # assemble the linear system row-by-row, mirroring the double path
-        c_mp = [mp.mpf(v) for v in prep.coeffs]
-        nmodes = n + 1
-        mat = mp.matrix(nmodes + 1, nmodes + 1)
-        rhs = mp.matrix(nmodes + 1, 1)
-        for j in range(nmodes):
-            at0, at1, mom, integral = tables[j]
-            mat[0, j] = at0[0] + mu * mp.fsum(c_mp[k] * mom[k] for k in range(n + 1))
-            for ell in range(1, n + 1):
-                entry = at0[ell] - mu * at0[ell - 1]
-                entry += mu * (-1) ** (ell - 1) * at1[ell - 1]
-                acc = mp.mpc(0)
-                for i in range(n - ell + 1):
-                    ratio = mp.mpf(math.factorial(i + ell)) / mp.mpf(math.factorial(i))
-                    acc += ratio * c_mp[i + ell] * mom[i]
-                entry += mu * acc
-                for jj in range(ell):
-                    entry -= nu_mp[n - jj] * (-1) ** (ell - 1 - jj) * at1[ell - 1 - jj]
-                mat[ell, j] = entry
-            mat[nmodes, j] = integral
-        mat[0, nmodes] = -mu * (1 - c_mp[0])
-        for ell in range(1, n + 1):
-            mat[ell, nmodes] = mu * mp.mpf(math.factorial(ell)) * c_mp[ell]
-        mat[nmodes, nmodes] = 1
-        rhs[nmodes] = 1
-
-        sol_mp = mp.lu_solve(mat, rhs)
-        sol = np.asarray([_to_complex(sol_mp[i]) for i in range(nmodes + 1)])
-
-        # diagnostic condition number of the (equilibrated) double image
-        mat_d = np.array(
-            [[_to_complex(mat[i, j]) for j in range(nmodes + 1)] for i in range(nmodes + 1)],
-            dtype=complex,
-        )
-        scaled, _, _ = equilibrate_fn(mat_d)
-        cond = float(np.linalg.cond(scaled))
-
-    return ExtendedAssembly(
-        nu=nu_floats,
-        char_poly=char_floats,
-        ordered_roots=ordered,
-        basis=basis,
-        vectors=vectors,
-        couplings=couplings,
-        solution=sol,
-        condition_number=cond,
-    )

@@ -20,10 +20,11 @@ the package.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
+
+from ._numeric import DOUBLE
 
 __all__ = ["exp_weighted_moment"]
 
@@ -33,27 +34,13 @@ MAX_ORDER = 64
 #: Below this magnitude the recurrences are replaced by the Taylor series.
 _TAYLOR_RADIUS = 1e-4
 
-#: Target relative accuracy of the zero-seeded downward recurrence.
-_MILLER_EPS = 1e-18
 
-
-def _expm1c(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z| (complex argument)."""
-    x, y = z.real, z.imag
-    if y == 0.0:
-        return complex(math.expm1(x), 0.0)
-    # Real part: expm1(x)*cos(y) - 2*sin^2(y/2); imaginary part: e^x*sin(y).
-    return complex(
-        math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
-        math.exp(x) * math.sin(y),
-    )
-
-
-def _taylor_moments(kmax: int, r: complex) -> list[complex]:
+def _taylor_moments(kmax: int, r, ctx) -> list:
     """I_0..I_kmax by the series sum_m r^m / (m! * (k+m+1)), |r| small."""
+    eps, cap = ctx.eps, ctx.terms
     out = []
     for k in range(kmax + 1):
-        term = complex(1.0)  # r^m / m! at m = 0
+        term = ctx.complex(1)  # r^m / m! at m = 0
         total = term / (k + 1)
         m = 0
         while True:
@@ -61,34 +48,37 @@ def _taylor_moments(kmax: int, r: complex) -> list[complex]:
             term *= r / m
             inc = term / (k + m + 1)
             total += inc
-            if abs(inc) <= 1e-20 * abs(total) or m > 40:
+            if abs(inc) <= eps * abs(total) or m > cap:
                 break
         out.append(total)
     return out
 
 
-def _downward_start(kmax: int, mag: float) -> int:
+def _downward_start(kmax: int, mag, ctx=DOUBLE) -> int:
     """Start index for the zero-seeded downward recurrence.
 
     Error introduced by the zero seed contracts by |r|/j at step j; run the
-    start index out until the accumulated contraction beats ``_MILLER_EPS``.
+    start index out until the accumulated contraction beats ``ctx.eps``
+    (an index estimate, so it is run in double in every context).
     """
-    start = max(kmax, int(math.ceil(mag)))
+    mag, eps = float(mag), float(ctx.eps)
+    start = max(kmax, math.ceil(mag))
     shrink = 1.0
-    while shrink > _MILLER_EPS and start < kmax + 400:
+    while shrink > eps and start < kmax + ctx.terms:
         start += 1
         shrink *= min(1.0, mag / start)
     return start
 
 
-def _moments(kmax: int, r: complex) -> list[complex]:
-    """I_0..I_kmax for one complex argument (internal, unvalidated)."""
+def _moments(kmax: int, r, ctx=DOUBLE) -> list:
+    """I_0..I_kmax for one argument ``r`` of the numeric context ``ctx``
+    (internal, unvalidated)."""
     mag = abs(r)
     if mag < _TAYLOR_RADIUS:
-        return _taylor_moments(kmax, r)
+        return _taylor_moments(kmax, r, ctx)
 
-    er = cmath.exp(r) if r.real <= 709.0 else complex(math.inf)
-    out: list[complex] = [_expm1c(r) / r]
+    er = ctx.exp(r)
+    out = [ctx.expm1(r) / r]
     # Upward while contractive: the error amplification at step k is k/|r|.
     k_up = min(kmax, int(mag))
     for k in range(1, k_up + 1):
@@ -97,11 +87,25 @@ def _moments(kmax: int, r: complex) -> list[complex]:
         return out
 
     # Downward (Miller-style) for the remaining orders, from a zero seed.
-    start = _downward_start(kmax, mag)
-    high = [complex(0.0)] * (start + 1)
+    start = _downward_start(kmax, mag, ctx)
+    high = [ctx.complex(0)] * (start + 1)
     for k in range(start, k_up + 1, -1):
         high[k - 1] = (er - r * high[k]) / k
     return out + high[k_up + 1 : kmax + 1]
+
+
+def _anchored_moments(kmax: int, r, ctx=DOUBLE) -> list:
+    """integral_0^1 y^k * exp(r*(y-1)) dy for k = 0..kmax (unvalidated)."""
+    if r.real <= 700.0:
+        scale = ctx.exp(-r)
+        return [scale * v for v in _moments(kmax, r, ctx)]
+    # exp(r) overflows: run the recurrence directly on the anchored values,
+    # where the upward pass is contractive because k/|r| << 1.
+    emr = ctx.exp(-r)  # underflows harmlessly toward 0
+    out = [(1 - emr) / r]
+    for k in range(1, kmax + 1):
+        out.append((1 - k * out[k - 1]) / r)
+    return out
 
 
 def exp_weighted_moment(k: int, r: complex) -> complex:
@@ -146,17 +150,7 @@ def anchored_moment_table(kmax: int, r: complex) -> list[complex]:
     """
     if not 0 <= kmax <= MAX_ORDER:
         raise ValueError(f"moment order must be in [0, {MAX_ORDER}], got {kmax}")
-    r = complex(r)
-    if r.real <= 700.0:
-        scale = cmath.exp(-r)
-        return [scale * v for v in _moments(kmax, r)]
-    # exp(r) overflows: run the recurrence directly on the anchored values,
-    # where the upward pass is contractive because k/|r| << 1.
-    emr = cmath.exp(-r)  # underflows harmlessly toward 0
-    out = [(1.0 - emr) / r]
-    for k in range(1, kmax + 1):
-        out.append((1.0 - k * out[k - 1]) / r)
-    return out
+    return _anchored_moments(kmax, complex(r))
 
 
 def moment_grid(kmax: int, z: np.ndarray) -> np.ndarray:

@@ -157,12 +157,18 @@ def _require_polynomial(dist, command: str) -> PolynomialCdf:
     return dist
 
 
+def _density_column(solution, xs: np.ndarray) -> np.ndarray:
+    """f_W on a grid starting at x = 0, where the right limit stands in."""
+    col = np.empty(xs.size)
+    col[0] = float(np.real(_mode_terms(solution, xs[:1]))[0])
+    col[1:] = eval_waiting_density(solution, xs[1:])
+    return col
+
+
 def _sample_table(solution) -> list[tuple[float, float, float]]:
     """(x, f_W, F_W) rows at 1025 equally spaced points of [0, 1]."""
     xs = np.arange(_TABLE_POINTS) / (_TABLE_POINTS - 1)
-    dens = np.empty(_TABLE_POINTS)
-    dens[0] = float(np.real(_mode_terms(solution, np.zeros(1)))[0])  # right limit at 0
-    dens[1:] = eval_waiting_density(solution, xs[1:])
+    dens = _density_column(solution, xs)
     cdf = eval_waiting_cdf(solution, xs)
     return list(zip(xs.tolist(), dens.tolist(), cdf.tolist()))
 
@@ -346,13 +352,7 @@ def cmd_figure1(config: RunConfig) -> int:
     grid, _ = fixed_point_solve(FixedPointProblem(tri, svc, grid_size=_BENCH_GRID))
     step = _BENCH_GRID // (_TABLE_POINTS - 1)
     f_ref = density_estimate(grid)[::step]
-    dens_cols = [xs]
-    for n in _BENCH_ORDERS:
-        col = np.empty(_TABLE_POINTS)
-        col[0] = float(np.real(_mode_terms(solutions[n], np.zeros(1)))[0])
-        col[1:] = eval_waiting_density(solutions[n], xs[1:])
-        dens_cols.append(col)
-    dens_cols.append(f_ref)
+    dens_cols = [xs] + [_density_column(solutions[n], xs) for n in _BENCH_ORDERS] + [f_ref]
     dens_header = ("x",) + tuple(f"f_W_fit_n{n}" for n in _BENCH_ORDERS) + ("f_W_reference",)
 
     prefix = config.out or "figure1"

@@ -23,8 +23,10 @@ Numerical backbone:
   family of :func:`exp_weighted_moment`;
 * the derivative-hierarchy weights and characteristic coefficients are
   assembled in exact rational arithmetic (they cancel catastrophically in
-  floating point), and degrees above 12 run the entire assembly in extended
-  precision — double precision loses ~log10(n!) digits there and visibly
+  floating point);
+* every later stage is written once against a numeric context
+  (:mod:`lindley_alt._numeric`): double precision up to degree 12, mpmath
+  above — double precision loses ~log10(n!) digits there and visibly
   corrupts the density.
 """
 
@@ -37,10 +39,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import mpmath as mp
 import numpy as np
 
-from ._exact import EXTENDED_DEGREE, exact_char, exact_nu, extended_assembly
-from ._moments import anchored_moment_table, exp_weighted_moment, moment_table
+from ._exact import EXTENDED_DEGREE, exact_char, exact_nu, safe_float
+from ._moments import (
+    _anchored_moments,
+    _moments,
+    anchored_moment_table,
+    exp_weighted_moment,
+    moment_table,
+)
+from ._numeric import DOUBLE, EXTENDED, context_of
 from .distributions import ExponentialService, PolynomialCdf
 from .errors import (
     ConvergenceFailure,
@@ -81,6 +91,10 @@ _REPEATED_ROOT_TOL = 1e-7
 #: Grid used by the solution's structural self-checks.
 _CHECK_GRID = 1025
 
+#: Relative gap below which the two mode-vector components count as equal in
+#: magnitude; theta is then the one normalized to 1.
+_NORMALIZATION_TIE = 1e-12
+
 
 @dataclass(frozen=True)
 class CharacteristicSystem:
@@ -102,30 +116,14 @@ class Mode:
     """One +- root pair of the characteristic polynomial.
 
     ``root`` is the representative (the pair member with positive real part,
-    or positive imaginary part on the imaginary axis). ``zeta``/``theta`` are
-    the 2x2 mode-system components for the representative; ``partner_zeta``/
-    ``partner_theta`` the same for the negated root. ``coupling`` ties the
-    partner's weight to the representative's (partner weight = coupling *
-    weight). ``anchored_weight`` = weight * exp(root) and ``anchored_coupling``
-    = coupling * exp(-root) are the overflow-safe forms of those reported
-    values; all four may degrade to inf when the coupling parametrization is
-    singular (S vanishing at the root), and serialize as null then.
-
-    Evaluation never uses the coupled form. The pair's density contribution
-    is ``strength * (head*exp(root*(x-1)) + tail*exp(-root*x))`` with
-    ``(head, tail)`` the balanced column built by :func:`_pair_coefficients`
-    — finite for every root, including where the coupling diverges.
+    or positive imaginary part on the imaginary axis). The pair's density
+    contribution is ``strength * (head*exp(root*(x-1)) + tail*exp(-root*x))``
+    with ``(head, tail)`` the balanced column built by
+    :func:`_pair_coefficients` — finite for every root, including where the
+    coupled parametrization reported by :func:`solution_summary` diverges.
     """
 
     root: complex
-    zeta: complex
-    theta: complex
-    partner_zeta: complex
-    partner_theta: complex
-    coupling: complex
-    weight: complex
-    anchored_weight: complex
-    anchored_coupling: complex
     head: complex
     tail: complex
     strength: complex
@@ -189,40 +187,11 @@ def characteristic_polynomial(
     return tuple(float(v) for v in exact_char(nu_fr, svc.rate))
 
 
-def _squared_roots(char_poly: tuple[float, ...]) -> np.ndarray:
-    """Companion-matrix roots in the squared variable s = r^2, guard included.
-
-    The coefficients are rescaled by a power of two (exact in floating
-    point, roots unchanged) so the companion matrix stays well inside range
-    even when high-degree coefficients grow huge. Raises RepeatedRoot if two
-    squared roots lie within 1e-7 relative distance — the closed form
-    assumes simple roots, and the doubled-root geometry also defeats the
-    polish that follows.
-    """
-    even = np.asarray(char_poly[0::2], dtype=float)  # ascending in s = r^2
-    even = even * np.exp2(-np.round(np.log2(np.max(np.abs(even)))))
-    s_roots = np.roots(even[::-1])
-    m = s_roots.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = abs(s_roots[i] - s_roots[j])
-            scale = max(abs(s_roots[i]), abs(s_roots[j]), 1e-300)
-            if gap < _REPEATED_ROOT_TOL * scale:
-                raise RepeatedRoot(
-                    f"characteristic roots {s_roots[i]:.6g} and {s_roots[j]:.6g} "
-                    f"(squared variable) are within relative distance "
-                    f"{gap / scale:.2e} < {_REPEATED_ROOT_TOL:g}"
-                )
-    return s_roots
-
-
-def _char_value_and_scale(char_poly, r: complex) -> tuple[complex, float]:
+def _char_value_and_scale(char_poly, r):
     """Polynomial value at r and the cancellation scale sum |a_k| |r|^k."""
-    val = complex(0.0)
-    scale = 0.0
+    val = scale = 0
     mag = abs(r)
-    power = complex(1.0)
-    pmag = 1.0
+    power = pmag = 1
     for a in char_poly:
         val += a * power
         scale += abs(a) * pmag
@@ -231,43 +200,83 @@ def _char_value_and_scale(char_poly, r: complex) -> tuple[complex, float]:
     return val, scale
 
 
-def find_roots(char_poly: tuple[float, ...]) -> np.ndarray:
+def _poly_value(poly, r):
+    """Polynomial value at r, ascending coefficients."""
+    val = 0
+    power = 1
+    for a in poly:
+        val += a * power
+        power *= r
+    return val
+
+
+def _polish(char_poly, dpoly, r, ctx):
+    """Newton-polish one root of the characteristic polynomial in ``ctx``."""
+    tol = ctx.polish_tol
+    for _ in range(ctx.polish_iters):
+        val, scale = _char_value_and_scale(char_poly, r)
+        if abs(val) <= tol * scale:
+            return r
+        dval = _poly_value(dpoly, r)
+        if dval == 0:
+            break
+        r -= val / dval
+    val, scale = _char_value_and_scale(char_poly, r)
+    if abs(val) > ctx.accept_tol * scale:
+        raise ConvergenceFailure(
+            f"Newton polish stalled at residual {float(abs(val) / scale):.2e} "
+            f"for root near {complex(r):.6g}"
+        )
+    return r
+
+
+def find_roots(char_poly) -> np.ndarray:
     """All 2n+2 roots of the even characteristic polynomial.
 
     Solved as a degree-(n+1) polynomial in the squared variable (companion-
     matrix eigenvalues), then square-rooted — which makes the root set
     exactly closed under negation — and Newton-polished on the original
-    polynomial to relative residual < 1e-12.
+    polynomial to relative residual < 1e-12, in the numeric context of the
+    coefficients (extended-precision coefficients are polished to their
+    working precision).
 
     Raises
     ------
     RepeatedRoot
-        If two squared-variable roots lie within 1e-7 relative distance:
-        the closed form assumes simple roots.
+        If two squared-variable roots lie within 1e-7 relative distance, or
+        two polished roots within 1e-9: the closed form assumes simple roots.
     ConvergenceFailure
         If polishing cannot reach the required residual.
     """
-    s_roots = _squared_roots(char_poly)
-    reps = []
-    dpoly = tuple(k * a for k, a in enumerate(char_poly))[1:]
-    for s in s_roots:
-        r = cmath.sqrt(complex(s))  # principal: Re >= 0; Im > 0 on the axis
-        for _ in range(40):
-            val, scale = _char_value_and_scale(char_poly, r)
-            if abs(val) <= 1e-13 * scale:
-                break
-            dval, _ = _char_value_and_scale(dpoly, r)
-            if dval == 0:
-                break
-            r -= val / dval
-        val, scale = _char_value_and_scale(char_poly, r)
-        if abs(val) > 1e-12 * scale:
-            raise ConvergenceFailure(
-                f"Newton polish stalled at residual {abs(val) / scale:.2e} "
-                f"for root near {r:.6g}"
-            )
-        reps.append(r)
-    return np.asarray(reps + [-r for r in reps])
+    ctx = context_of(char_poly[0])
+    # seeds: the even coefficients, ascending in s = r^2, rescaled by a power
+    # of two (exact, roots unchanged) so their double image stays in range
+    even = char_poly[0::2]
+    shift = mp.frexp(max(abs(a) for a in even))[1]
+    s_roots = np.roots([float(mp.ldexp(a, -shift)) for a in reversed(even)])
+    # the closed form assumes simple roots, and a doubled root also defeats
+    # the polish that follows
+    for i in range(s_roots.size):
+        for j in range(i + 1, s_roots.size):
+            gap = abs(s_roots[i] - s_roots[j])
+            scale = max(abs(s_roots[i]), abs(s_roots[j]), 1e-300)
+            if gap < _REPEATED_ROOT_TOL * scale:
+                raise RepeatedRoot(
+                    f"characteristic roots {s_roots[i]:.6g} and {s_roots[j]:.6g} "
+                    f"(squared variable) are within relative distance "
+                    f"{gap / scale:.2e} < {_REPEATED_ROOT_TOL:g}"
+                )
+    dpoly = [k * a for k, a in enumerate(char_poly)][1:]
+    reps = [
+        # principal square root: Re >= 0; Im > 0 on the axis
+        _polish(char_poly, dpoly, ctx.complex(cmath.sqrt(complex(s))), ctx)
+        for s in s_roots
+    ]
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            if abs(reps[i] - reps[j]) < 1e-9 * max(abs(reps[i]), abs(reps[j])):
+                raise RepeatedRoot(f"Newton polish collapsed roots near {complex(reps[i]):.6g}")
+    return np.array(reps + [-r for r in reps])
 
 
 def pair_roots(roots: np.ndarray) -> np.ndarray:
@@ -276,57 +285,44 @@ def pair_roots(roots: np.ndarray) -> np.ndarray:
     Representatives (first half) have positive real part, ties broken by
     positive imaginary part, sorted by descending real then imaginary part;
     entry i's partner sits at the mirrored index and is its exact negation.
+    Classification and order are decided on the double roundings, so they
+    do not depend on the numeric context the roots were polished in.
     """
-    roots = np.asarray(roots, dtype=complex)
-    reps = [r for r in roots if r.real > 0.0 or (r.real == 0.0 and r.imag > 0.0)]
+    roots = np.asarray(roots)
+    doubles = roots.astype(complex)
+    if roots.dtype != object:  # extended-precision roots are mpmath objects
+        roots = doubles
+    reps = [
+        (d, r)
+        for d, r in zip(doubles, roots)
+        if d.real > 0.0 or (d.real == 0.0 and d.imag > 0.0)
+    ]
     if 2 * len(reps) != roots.size:
         raise PairingFailure(
             f"{len(reps)} representatives for {roots.size} roots; "
             f"the root set is not closed under negation"
         )
-    for r in reps:
-        gaps = np.abs(roots + r)
-        if float(np.min(gaps)) > 1e-9 * max(abs(r), 1e-300):
-            raise PairingFailure(f"root {r:.6g} lacks a negated partner")
-    reps.sort(key=lambda r: (-r.real, -r.imag))
-    return np.asarray(reps + [-r for r in reversed(reps)])
+    for d, _ in reps:
+        if float(np.min(np.abs(doubles + d))) > 1e-9 * max(abs(d), 1e-300):
+            raise PairingFailure(f"root {d:.6g} lacks a negated partner")
+    reps.sort(key=lambda dr: (-dr[0].real, -dr[0].imag))
+    reps = [r for _, r in reps]
+    return np.array(reps + [-r for r in reversed(reps)])
 
 
-def _scaled_tail_sum(nu, r: complex, n: int) -> complex:
-    """S(r) / r^n = sum_{i<n} nu_i r^{i-n}, stable for large |r|."""
-    acc = complex(0.0)
-    inv = 1.0 / r
-    for i in range(n):  # Horner in u = 1/r: sum_i nu_i u^{n-i}, nu_0 innermost
-        acc = (acc + nu[i]) * inv
-    return acc
+def _balanced_tail(nu, r, n: int):
+    """(S(r), r^n) with S(r) = sum_{i<n} nu_i r^i, both divided by r^n when
+    |r| >= 1 so that neither overflows however large the root."""
+    if abs(r) >= 1:
+        acc = 0
+        inv = 1 / r
+        for i in range(n):  # Horner in u = 1/r: sum_i nu_i u^{n-i}, nu_0 innermost
+            acc = (acc + nu[i]) * inv
+        return acc, 1
+    return context_of(r).polyval(nu[:n][::-1], r), r**n
 
 
-def _mode_rows(r: complex, nu, mu: float, n: int) -> np.ndarray:
-    """The 2x2 homogeneous system a mode vector must solve, scale-balanced.
-
-    Rows (before balancing): [r^{n+1} - mu r^n, -S(r)] and
-    [-(-1)^{n+1} S(-r), r^{n+1} + mu r^n] acting on (zeta, theta). For
-    |r| >= 1 both rows are divided by r^n, which keeps entries bounded for
-    arbitrarily large roots.
-    """
-    sign = (-1.0) ** (n + 1)
-    if abs(r) >= 1.0:
-        s_p = _scaled_tail_sum(nu, r, n)
-        s_m = _scaled_tail_sum(nu, -r, n) * (-1.0) ** n  # S(-r)/r^n
-        return np.array(
-            [[r - mu, -s_p], [-sign * s_m, r + mu]], dtype=complex
-        )
-    s_p = complex(np.polyval(list(reversed(nu[:n])), r)) if n else complex(0.0)
-    s_m = complex(np.polyval(list(reversed(nu[:n])), -r)) if n else complex(0.0)
-    rn = r**n
-    return np.array(
-        [[rn * (r - mu), -s_p], [-sign * s_m, rn * (r + mu)]], dtype=complex
-    )
-
-
-def _pair_coefficients(
-    r: complex, nu: tuple[float, ...], mu: float, n: int
-) -> tuple[complex, complex]:
+def _pair_coefficients(r, nu, mu, n: int):
     """Balanced coefficients (head, tail) of one pair's density column.
 
     The pair contributes head * exp(r*(x-1)) + tail * exp(-r*x), which spans
@@ -343,27 +339,24 @@ def _pair_coefficients(
         If both coefficients vanish (only possible at a root collapsing onto
         the origin, which the repeated-root guard rejects earlier).
     """
-    if abs(r) >= 1.0:
-        head = _scaled_tail_sum(nu, r, n)  # S(r) / r^n
-        tail = r - mu
-    else:
-        head = complex(np.polyval(list(reversed(nu[:n])), r)) if n else complex(0.0)
-        tail = r**n * (r - mu)
+    head, rn = _balanced_tail(nu, r, n)
+    tail = rn * (r - mu)
     scale = max(abs(head), abs(tail))
-    if scale == 0.0 or not math.isfinite(scale):
-        raise DegenerateMode(f"pair column vanished at root {r:.6g}")
+    if not 0 < scale < math.inf:
+        raise DegenerateMode(f"pair column vanished at root {complex(r):.6g}")
     return head / scale, tail / scale
 
 
-def mode_vector(
-    r: complex, nu: tuple[float, ...], svc: ExponentialService, n: int
-) -> tuple[complex, complex]:
+def mode_vector(r, nu, svc: ExponentialService, n: int) -> tuple[complex, complex]:
     """Nontrivial (zeta, theta) solving the 2x2 mode system at a simple root.
 
     Normalized so the larger-magnitude component is exactly 1 (real,
     positive), which makes solutions reproducible regardless of root-finder
-    ordering. Both rows are verified to residual < 1e-6 relative to the
-    matrix scale.
+    ordering; when the magnitudes agree to 1e-12 relative — always, up to
+    rounding, on the imaginary axis, where |S(r)| = |r^n (r - mu)| — theta
+    is the one set to 1. Both rows are verified to residual < 1e-6 relative
+    to the matrix scale. ``r`` and ``nu`` may be extended-precision numbers;
+    the result is double.
 
     Raises
     ------
@@ -371,16 +364,14 @@ def mode_vector(
         If the system has no one-dimensional nullspace (both rows vanish)
         — the signature of a repeated root that slipped through.
     """
-    return _null_vector(_mode_rows(r, nu, svc.rate, n), complex(r))
-
-
-def _null_vector(rows: np.ndarray, label: complex) -> tuple[complex, complex]:
-    """Normalized nullspace vector of a 2x2 system, with residual check.
-
-    Shared by both assembly pipelines (the extended-precision path hands in
-    rows it computed at working precision and rounded). ``label`` only
-    decorates error messages.
-    """
+    mu = svc.rate
+    # rows [r^n (r - mu), -S(r)] and [(-1)^n S(-r), r^n (r + mu)] acting on
+    # (zeta, theta), balanced like S(r)
+    s_p, rn = _balanced_tail(nu, r, n)
+    s_m, _ = _balanced_tail(nu, -r, n)
+    sign = 1 if abs(r) >= 1 else (-1) ** n  # S(-r)/(-r)^n -> S(-r)/r^n
+    rows = np.array([[rn * (r - mu), -s_p], [sign * s_m, rn * (r + mu)]], dtype=complex)
+    label = complex(r)
     scale = float(np.max(np.abs(rows)))
     if scale == 0.0 or not math.isfinite(scale):
         raise DegenerateMode(f"mode system vanished identically at root {label:.6g}")
@@ -388,8 +379,9 @@ def _null_vector(rows: np.ndarray, label: complex) -> tuple[complex, complex]:
     if svals[0] < 1e-13:
         raise DegenerateMode(f"mode system vanished identically at root {label:.6g}")
     vec = vh[-1].conj()
-    idx = int(np.argmax(np.abs(vec)))
-    vec = vec / vec[idx]
+    mags = np.abs(vec)
+    tie = abs(mags[0] - mags[1]) <= _NORMALIZATION_TIE * max(mags)
+    vec = vec / vec[1 if tie else int(np.argmax(mags))]
     zeta, theta = complex(vec[0]), complex(vec[1])
     vnorm = max(abs(zeta), abs(theta))
     # residuals are judged against the matrix scale, not per-row norms: at a
@@ -407,10 +399,10 @@ def _null_vector(rows: np.ndarray, label: complex) -> tuple[complex, complex]:
 
 
 def coupling_factor(
-    r: complex,
+    r,
     zeta: complex,
     partner_zeta: complex,
-    nu: tuple[float, ...],
+    nu,
     svc: ExponentialService,
     n: int,
 ) -> tuple[complex, complex]:
@@ -422,33 +414,31 @@ def coupling_factor(
 
         anchored_coupling = zeta * (r - mu) / (partner_zeta * S(r)/r^n).
 
+    ``r`` and ``nu`` may be extended-precision numbers; the result is double.
+
     Raises
     ------
     SingularCoupling
         If S(r) vanishes at the root relative to its term scale — the
         closed-form construction assumes it nonzero.
     """
-    mu = svc.rate
-    if abs(r) >= 1.0:
-        # denominator expressed as S(r)/r^n so nothing overflows
-        s_val = _scaled_tail_sum(nu, r, n)
-        s_scale = sum(abs(nu[i]) * abs(r) ** (i - n) for i in range(n))
-        numerator = zeta * (r - mu)
-    else:
-        s_val = complex(np.polyval(list(reversed(nu[:n])), r))
-        s_scale = sum(abs(nu[i]) * abs(r) ** i for i in range(n))
-        numerator = zeta * r**n * (r - mu)
+    # denominator balanced like S(r), so nothing overflows; its term scale
+    # sum |nu_i| |r|^i balanced the same way
+    s_val, rn = _balanced_tail(nu, r, n)
+    s_scale = abs(_balanced_tail([abs(v) for v in nu], abs(r), n)[0])
+    numerator = zeta * rn * (r - svc.rate)
     if abs(s_val) < 1e-12 * max(s_scale, 1e-300):
         raise SingularCoupling(
-            f"coupling denominator vanished at root {r:.6g} "
-            f"(|S(r)| = {abs(s_val):.2e}, scale {s_scale:.2e})"
+            f"coupling denominator vanished at root {complex(r):.6g} "
+            f"(|S(r)| = {float(abs(s_val)):.2e}, scale {float(s_scale):.2e})"
         )
     anchored = numerator / (partner_zeta * s_val)
-    coupling = anchored * cmath.exp(r) if r.real <= 709.0 else complex(math.inf)
-    return coupling, anchored
+    if r.real > 709.0:
+        return complex(math.inf), complex(anchored)
+    return complex(anchored * context_of(r).exp(r)), complex(anchored)
 
 
-def _basis_tables(basis, n: int):
+def _basis_tables(basis, n: int, ctx):
     """Per-mode endpoint derivatives and moments, in anchored form.
 
     For mode j with root r and balanced column coefficients (head, tail),
@@ -460,58 +450,27 @@ def _basis_tables(basis, n: int):
     g_j^{(m)}(0) and g_j^{(m)}(1) for m = 0..n, moments int_0^1 y^k g_j dy
     for k = 0..n, and the total integral int_0^1 g_j dy.
     """
-    at0 = np.empty((len(basis), n + 1), dtype=complex)
-    at1 = np.empty((len(basis), n + 1), dtype=complex)
-    mom = np.empty((len(basis), n + 1), dtype=complex)
-    integral = np.empty(len(basis), dtype=complex)
-    for j, (r, head, tail) in enumerate(basis):
-        emr = cmath.exp(-r)
-        plus = anchored_moment_table(n, r)
-        minus = moment_table(n, -r)
-        rpow = complex(1.0)  # r^m
-        npow = complex(1.0)  # (-r)^m
-        for m in range(n + 1):
-            at0[j, m] = head * rpow * emr + tail * npow
-            at1[j, m] = head * rpow + tail * npow * emr
-            mom[j, m] = head * plus[m] + tail * minus[m]
+    at0, at1, mom, integral = [], [], [], []
+    for r, head, tail in basis:
+        emr = ctx.exp(-r)
+        plus = _anchored_moments(n, r, ctx)
+        minus = _moments(n, -r, ctx)
+        rpow = npow = 1  # r^m, (-r)^m
+        at0.append([])
+        at1.append([])
+        for _ in range(n + 1):
+            at0[-1].append(head * rpow * emr + tail * npow)
+            at1[-1].append(head * rpow + tail * npow * emr)
             rpow *= r
             npow *= -r
+        mom.append([head * p + tail * q for p, q in zip(plus, minus)])
         # both pair members integrate to the same closed form
-        integral[j] = (head + tail) * (1.0 - emr) / r
+        integral.append((head + tail) * (1 - emr) / r)
     return at0, at1, mom, integral
 
 
-def _equilibrate(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-sided power-of-two row/column equilibration of a square system.
-
-    The derivative-hierarchy rows scale like root^level (up to ~1e29 at high
-    degree) while the balance and normalization rows are O(1); the raw
-    condition number then reflects scaling, not genuine near-degeneracy, and
-    the factorization loses digits it does not need to lose. Scale factors
-    are rounded to powers of two, so applying them is exact in floating
-    point and the scaled system is equivalent bit-for-bit.
-
-    Returns ``(scaled, row_scale, col_scale)`` with
-    ``scaled = diag(row_scale) @ mat @ diag(col_scale)``; a solution ``y`` of
-    the scaled system maps back as ``x = col_scale * y``.
-    """
-    scaled = mat.copy()
-    rows = np.ones(mat.shape[0])
-    cols = np.ones(mat.shape[1])
-    for _ in range(4):
-        rmax = np.max(np.abs(scaled), axis=1)
-        rf = np.exp2(-np.round(np.log2(np.where(rmax > 0.0, rmax, 1.0))))
-        scaled *= rf[:, None]
-        rows *= rf
-        cmax = np.max(np.abs(scaled), axis=0)
-        cf = np.exp2(-np.round(np.log2(np.where(cmax > 0.0, cmax, 1.0))))
-        scaled *= cf[None, :]
-        cols *= cf
-    return scaled, rows, cols
-
-
 def assemble_linear_system(
-    basis, prep: PolynomialCdf, svc: ExponentialService
+    basis, nu, prep: PolynomialCdf, svc: ExponentialService
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense complex system for the mode strengths and the atom.
 
@@ -520,42 +479,44 @@ def assemble_linear_system(
     Row 0 pins the density value at 0 to the atom's throughput balance; rows
     1..n pin the derivative hierarchy at 0 (each involving derivative values
     at 1 and moment integrals, all in closed form); the final row is the
-    normalization atom + integral of the density = 1.
+    normalization atom + integral of the density = 1. ``basis`` holds
+    (root, head, tail) per mode and ``nu`` the derivative weights, both in
+    one numeric context; the arrays hold that context's numbers.
     """
-    c = prep.coeffs
+    ctx = context_of(basis[0][0])
+    c = [ctx.real(v) for v in prep.coeffs]
     n = prep.degree
-    mu = svc.rate
-    nu = nu_coefficients(prep, svc)
-    at0, at1, mom, integral = _basis_tables(basis, n)
+    mu = ctx.real(svc.rate)
+    at0, at1, mom, integral = _basis_tables(basis, n, ctx)
     nmodes = len(basis)
-    mat = np.zeros((nmodes + 1, nmodes + 1), dtype=complex)
-    rhs = np.zeros(nmodes + 1, dtype=complex)
+    mat = [[0] * (nmodes + 1) for _ in range(nmodes + 1)]
 
     # Row 0: g(0) + mu * sum_k c_k * Mom_k - mu*(1 - c_0)*pi0 = 0.
     for j in range(nmodes):
-        mat[0, j] = at0[j, 0] + mu * sum(c[k] * mom[j, k] for k in range(n + 1))
-    mat[0, nmodes] = -mu * (1.0 - c[0])
+        mat[0][j] = at0[j][0] + mu * sum(c[k] * mom[j][k] for k in range(n + 1))
+    mat[0][nmodes] = -mu * (1 - c[0])
     # Rows l = 1..n: the derivative hierarchy at 0.
     for ell in range(1, n + 1):
+        ratio = ctx.real(math.factorial(ell))  # (i + ell)!/i!, running product
+        weights = [ratio * c[ell]]
+        for i in range(1, n - ell + 1):
+            ratio *= ctx.real(i + ell) / i
+            weights.append(ratio * c[i + ell])
         for j in range(nmodes):
-            entry = at0[j, ell] - mu * at0[j, ell - 1]
-            entry += mu * (-1.0) ** (ell - 1) * at1[j, ell - 1]
-            ratio = float(math.factorial(ell))  # (i + ell)!/i! at i = 0
-            acc = complex(0.0)
-            for i in range(n - ell + 1):
-                if i > 0:
-                    ratio *= (i + ell) / i
-                acc += ratio * c[i + ell] * mom[j, i]
+            entry = at0[j][ell] - mu * at0[j][ell - 1]
+            entry += mu * (-1) ** (ell - 1) * at1[j][ell - 1]
+            acc = 0
+            for i, w in enumerate(weights):
+                acc += w * mom[j][i]
             entry += mu * acc
             for jj in range(ell):
-                entry -= nu[n - jj] * (-1.0) ** (ell - 1 - jj) * at1[j, ell - 1 - jj]
-            mat[ell, j] = entry
-        mat[ell, nmodes] = mu * math.factorial(ell) * c[ell]
+                entry -= nu[n - jj] * (-1) ** (ell - 1 - jj) * at1[j][ell - 1 - jj]
+            mat[ell][j] = entry
+        mat[ell][nmodes] = mu * math.factorial(ell) * c[ell]
     # Final row: normalization.
-    mat[nmodes, :nmodes] = integral
-    mat[nmodes, nmodes] = 1.0
-    rhs[nmodes] = 1.0
-    return mat, rhs
+    mat[nmodes] = integral + [1]
+    mat = np.array(mat)
+    return mat, np.array([0] * nmodes + [1], dtype=mat.dtype)
 
 
 def _verify_structure(cs: CharacteristicSystem, roots: np.ndarray) -> None:
@@ -575,11 +536,22 @@ def _verify_structure(cs: CharacteristicSystem, roots: np.ndarray) -> None:
         raise PostconditionViolation("conjugation_closure", "roots not conjugate-paired")
 
 
+def _context(n: int):
+    """The numeric context of a degree-n solve: extended above EXTENDED_DEGREE.
+
+    The weight sums, characteristic cross products and row assembly cancel
+    to ~log10(n!) digits; past the measured cliff every stage after the
+    exact weights runs in extended precision and is rounded to double once,
+    at the end.
+    """
+    return EXTENDED if n > EXTENDED_DEGREE else DOUBLE
+
+
 def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     """Compute the exact steady-state waiting-time law.
 
     Orchestrates the full closed-form pipeline (weights, characteristic
-    polynomial, roots, pairing, mode vectors, couplings, linear system) and
+    polynomial, roots, pairing, balanced mode columns, linear system) and
     verifies every structural invariant before returning. Up to degree 12
     everything runs in equilibrated double precision with one step of
     iterative refinement; above that the assembly cancellation outgrows
@@ -592,7 +564,7 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         Propagated from the corresponding stages. A singular coupling is NOT
         an error here: the balanced pair columns avoid the division by S(r),
         so such solves succeed, with the coupled-form report fields (weight,
-        coupling) degrading to inf.
+        coupling) of :func:`solution_summary` degrading to null.
     PostconditionViolation
         If the assembled solution violates a structural invariant
         (normalization, realness, nonnegativity, root symmetry).
@@ -607,62 +579,22 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         raise InputError("preparation CDF must have degree >= 1 (degenerate B == 0)")
     n = prep.degree
     mu = svc.rate
-    if n > EXTENDED_DEGREE:
-        # the weight sums, characteristic cross products and row assembly
-        # cancel to ~log10(n!) digits; past the measured cliff the whole
-        # assembly (and the linear solve) runs in exact/extended precision
-        # and is rounded to double once, here
-        ext = extended_assembly(
-            prep, svc, _squared_roots, pair_roots, _null_vector, _equilibrate
-        )
+    ctx = _context(n)
+    with ctx.precision(n):
+        nu_fr = ctx.exact(exact_nu(prep.coeffs, mu))
+        char_fr = exact_char(nu_fr, mu)
         cs = CharacteristicSystem(
-            nu=ext.nu, char_poly=ext.char_poly, rate=mu, degree=n
+            nu=tuple(map(safe_float, nu_fr)),
+            char_poly=tuple(map(safe_float, char_fr)),
+            rate=mu,
+            degree=n,
         )
-        ordered = ext.ordered_roots
-        _verify_structure(cs, ordered)
-        basis = ext.basis
-        vectors = ext.vectors
-        couplings = [
-            qq if qq is not None else (complex(math.inf, 0.0), complex(math.inf, 0.0))
-            for qq in ext.couplings
-        ]
-        sol = ext.solution
-        cond = ext.condition_number
-    else:
-        nu = nu_coefficients(prep, svc)
-        char = characteristic_polynomial(nu, svc, n)
-        cs = CharacteristicSystem(nu=nu, char_poly=char, rate=mu, degree=n)
-        ordered = pair_roots(find_roots(char))
-        _verify_structure(cs, ordered)
-        reps = ordered[: n + 1]
-        partners = ordered[n + 1 :]
-
-        basis = []
-        couplings = []
-        vectors = []
-        for i, r in enumerate(reps):
-            zeta, theta = mode_vector(r, nu, svc, n)
-            pzeta, ptheta = mode_vector(
-                complex(partners[len(partners) - 1 - i]), nu, svc, n
-            )
-            try:
-                q, qa = coupling_factor(r, zeta, pzeta, nu, svc, n)
-            except SingularCoupling:
-                # reporting parametrization diverges (S(r) ~ 0); the solve
-                # itself proceeds on the balanced columns, which have no such
-                # singularity
-                q = qa = complex(math.inf, 0.0)
-            basis.append((complex(r),) + _pair_coefficients(complex(r), nu, mu, n))
-            couplings.append((q, qa))
-            vectors.append((zeta, theta, pzeta, ptheta))
-
-        mat, rhs = assemble_linear_system(basis, prep, svc)
-        scaled, row_scale, col_scale = _equilibrate(mat)
-        cond = float(np.linalg.cond(scaled))
-        b = rhs * row_scale
-        y = np.linalg.solve(scaled, b)
-        y += np.linalg.solve(scaled, b - scaled @ y)  # one refinement step
-        sol = y * col_scale
+        nu = [ctx.real(v) for v in nu_fr]
+        ordered = pair_roots(find_roots([ctx.real(v) for v in char_fr]))
+        _verify_structure(cs, ordered.astype(complex))
+        basis = [(r,) + _pair_coefficients(r, nu, mu, n) for r in ordered[: n + 1].tolist()]
+        mat, rhs = assemble_linear_system(basis, nu, prep, svc)
+        sol, cond = ctx.lu_solve(mat, rhs)
 
     if cond > ILL_CONDITIONED_THRESHOLD:
         warnings.warn(
@@ -675,38 +607,13 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         )
 
     pi0_raw = complex(sol[-1])
-    modes = []
-    for i, (r, head, tail) in enumerate(basis):
-        strength = complex(sol[i])
-        zeta, theta, pzeta, ptheta = vectors[i]
-        q, qa = couplings[i]
-        if cmath.isfinite(q) and zeta != 0.0:
-            # convert to the coupled parametrization for reporting:
-            # strength * head = anchored_weight * zeta
-            anchored_weight = strength * head / zeta
-            weight = anchored_weight * cmath.exp(-r)
-        else:
-            anchored_weight = weight = complex(math.inf, 0.0)
-        modes.append(
-            Mode(
-                root=r,
-                zeta=zeta,
-                theta=theta,
-                partner_zeta=pzeta,
-                partner_theta=ptheta,
-                coupling=q,
-                weight=weight,
-                anchored_weight=anchored_weight,
-                anchored_coupling=qa,
-                head=head,
-                tail=tail,
-                strength=strength,
-            )
-        )
-
+    modes = tuple(
+        Mode(root=complex(r), head=complex(head), tail=complex(tail), strength=complex(u))
+        for (r, head, tail), u in zip(basis, sol)
+    )
     solution = WaitingTimeSolution(
         pi0=pi0_raw.real,
-        modes=tuple(modes),
+        modes=modes,
         prep=prep,
         service=svc,
         condition_number=cond,
@@ -744,26 +651,24 @@ def _verify_solution(sol: WaitingTimeSolution, pi0_raw: complex) -> None:
         raise PostconditionViolation("atom_real", f"Im(pi0) = {pi0_raw.imag:.3e}")
     if not -1e-10 <= sol.pi0 <= 1.0 + 1e-10:
         raise PostconditionViolation("atom_range", f"pi0 = {sol.pi0!r} outside [0, 1]")
-    total = complex(sol.pi0)
-    for m in sol.modes:
-        total += (
-            m.strength
-            * (m.head + m.tail)
-            * (1.0 - cmath.exp(-m.root))
-            / m.root
-        )
+    total = complex(_cdf_terms(sol, np.ones(1))[0])  # atom + integral
     if abs(total - 1.0) > 1e-10:
         raise PostconditionViolation(
             "normalization", f"atom + integral = {total!r}, defect {abs(total - 1.0):.3e}"
         )
     xs = np.linspace(0.0, 1.0, _CHECK_GRID)
-    vals = _mode_terms(sol, xs)
-    worst_imag = float(np.max(np.abs(vals.imag)))
-    if worst_imag > 1e-8:
-        raise PostconditionViolation("density_real", f"max |Im f| = {worst_imag:.3e}")
-    worst_neg = float(np.min(vals.real))
+    vals = _real_part(_mode_terms(sol, xs), "density_real", "f")
+    worst_neg = float(np.min(vals))
     if worst_neg < -1e-8:
         raise PostconditionViolation("density_nonnegative", f"min f = {worst_neg:.3e}")
+
+
+def _real_part(vals: np.ndarray, check: str, name: str) -> np.ndarray:
+    """Real part of mode-sum values whose imaginary residue is below 1e-8."""
+    worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
+    if worst > 1e-8:
+        raise PostconditionViolation(check, f"max |Im {name}| = {worst:.3e}")
+    return vals.real
 
 
 def eval_waiting_density(sol: WaitingTimeSolution, x):
@@ -778,11 +683,7 @@ def eval_waiting_density(sol: WaitingTimeSolution, x):
         raise ValueError(
             "waiting-time density is defined on (0, 1]; the mass at 0 is the atom pi0"
         )
-    vals = _mode_terms(sol, xs)
-    worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if worst > 1e-8:
-        raise PostconditionViolation("density_real", f"max |Im f| = {worst:.3e}")
-    out = vals.real
+    out = _real_part(_mode_terms(sol, xs), "density_real", "f")
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
@@ -791,13 +692,10 @@ def eval_waiting_cdf(sol: WaitingTimeSolution, x):
     scalar = not isinstance(x, np.ndarray)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     inside = np.clip(xs, 0.0, 1.0)
-    vals = _cdf_terms(sol, inside)
-    worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if worst > 1e-8:
-        raise PostconditionViolation("cdf_real", f"max |Im F| = {worst:.3e}")
+    vals = _real_part(_cdf_terms(sol, inside), "cdf_real", "F")
     # at exactly 1 the computed value (1 within 1e-10 by normalization) is
     # returned rather than clamped, so the endpoint stays a real check
-    out = np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, vals.real))
+    out = np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, vals))
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
@@ -814,6 +712,7 @@ def integral_equation_residual(
     c = prep.coeffs
     n = prep.degree
     mu = svc.rate
+    total = complex(_cdf_terms(sol, np.ones(1))[0]) - sol.pi0  # int_0^1 f(y) dy
     worst = 0.0
     for x in np.atleast_1d(np.asarray(points, dtype=float)):
         b = 1.0 - x
@@ -821,22 +720,19 @@ def integral_equation_residual(
         capf = complex(_cdf_terms(sol, np.array([x]))[0])
         fb = float(np.polyval(list(reversed(c)), x))
         partial = np.zeros(n + 1, dtype=complex)  # int_0^b y^k f(y) dy
-        total = complex(0.0)  # int_0^1 f(y) dy
         for m in sol.modes:
+            if b <= 0.0:
+                break
             r = m.root
-            u = m.strength
-            emr = cmath.exp(-r)
-            if b > 0.0:
-                plus = anchored_moment_table(n, r * b)
-                minus = moment_table(n, -r * b)
-                shift = cmath.exp(r * (b - 1.0))
-                bpow = b
-                for k in range(n + 1):
-                    partial[k] += u * bpow * (
-                        m.head * shift * plus[k] + m.tail * minus[k]
-                    )
-                    bpow *= b
-            total += u * (m.head + m.tail) * (1.0 - emr) / r
+            plus = anchored_moment_table(n, r * b)
+            minus = moment_table(n, -r * b)
+            shift = cmath.exp(r * (b - 1.0))
+            bpow = b
+            for k in range(n + 1):
+                partial[k] += m.strength * bpow * (
+                    m.head * shift * plus[k] + m.tail * minus[k]
+                )
+                bpow *= b
         tail = total - partial[0]
         double = complex(0.0)
         for i in range(n + 1):
@@ -862,21 +758,46 @@ def solution_summary(sol: WaitingTimeSolution) -> dict:
     Roots/zetas/ds list both members of every pair (representatives first,
     then their negations in mirrored order) so the density is reconstructible
     directly as sum d * zeta * exp(root * x); qs has one entry per pair.
-    Values that overflow double precision serialize as null.
+    These coupled-form quantities are only reported, so they are computed
+    here, in the numeric context the solve ran in: zeta from the mode system
+    (normalized with theta = 1 where |zeta| = |theta|, as on the imaginary
+    axis), the coupling q tying a partner's weight to its representative's,
+    and the weights d. Values that overflow double precision serialize as
+    null, as do the weights and coupling where S(r) vanishes at the root.
     """
-    reps = sol.modes
-    roots = [m.root for m in reps] + [-m.root for m in reversed(reps)]
-    zetas = [m.zeta for m in reps] + [m.partner_zeta for m in reversed(reps)]
-    ds = [m.weight for m in reps] + [
-        m.anchored_weight * m.anchored_coupling for m in reversed(reps)
-    ]
+    n = sol.prep.degree
+    ctx = _context(n)
+    reported = []  # (zeta, partner zeta, q, d, partner d) per pair
+    with ctx.precision(n):
+        nu_fr = ctx.exact(exact_nu(sol.prep.coeffs, sol.mu))
+        nu = [ctx.real(v) for v in nu_fr]
+        char = [ctx.real(v) for v in exact_char(nu_fr, sol.mu)]
+        dchar = [k * a for k, a in enumerate(char)][1:]
+        for m in sol.modes:
+            # back to the working precision the solve found the root in
+            r = _polish(char, dchar, ctx.complex(m.root), ctx)
+            zeta, _ = mode_vector(r, nu, sol.service, n)
+            pzeta, _ = mode_vector(-r, nu, sol.service, n)
+            try:
+                q, qa = coupling_factor(r, zeta, pzeta, nu, sol.service, n)
+            except SingularCoupling:
+                q = qa = complex(math.inf, 0.0)
+            if cmath.isfinite(q) and zeta != 0.0:
+                # strength * head = anchored_weight * zeta
+                anchored_weight = m.strength * m.head / zeta
+                weight = anchored_weight * cmath.exp(-m.root)
+            else:
+                anchored_weight = weight = complex(math.inf, 0.0)
+            reported.append((zeta, pzeta, q, weight, anchored_weight * qa))
+    zetas, pzetas, qs, ds, pds = zip(*reported)
+    roots = [m.root for m in sol.modes] + [-m.root for m in reversed(sol.modes)]
     return {
         "pi0": sol.pi0,
         "mu": sol.mu,
         "coeffs": list(sol.prep.coeffs),
         "roots": [_json_complex(r) for r in roots],
-        "zetas": [_json_complex(z) for z in zetas],
-        "qs": [_json_complex(m.coupling) for m in reps],
-        "ds": [_json_complex(d) for d in ds],
+        "zetas": [_json_complex(z) for z in zetas + pzetas[::-1]],
+        "qs": [_json_complex(q) for q in qs],
+        "ds": [_json_complex(d) for d in ds + pds[::-1]],
         "condition_number": sol.condition_number,
     }

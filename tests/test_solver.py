@@ -326,3 +326,82 @@ class TestExtendedPrecision:
         b = solve(fit, ExponentialService(2.0))
         assert a.pi0 == b.pi0
         assert solution_summary(a) == solution_summary(b)
+
+
+#: Rates of the summary corpus. Double-path orders run at all three; the
+#: extended-path orders 13-24 (about 0.3-1.2 s a solve) rotate through them.
+_SUMMARY_RATES = (0.3, 1.0, 3.0)
+
+
+@pytest.fixture(scope="module")
+def summary_corpus():
+    """(solution, summary) over triangular fits of orders 1-24, both
+    precision paths, plus 60 seeded random polynomial CDFs."""
+    from lindley_alt.bernstein import bernstein_fit
+    from lindley_alt.distributions import triangular_cdf
+
+    tri = triangular_cdf()
+    problems = []
+    for n in range(1, 25):
+        rates = _SUMMARY_RATES if n <= 12 else (_SUMMARY_RATES[n % 3],)
+        problems += [(bernstein_fit(tri, n), mu) for mu in rates]
+    rng = np.random.default_rng(60)
+    for _ in range(60):
+        problems.append((random_polynomial_cdf(rng), float(rng.uniform(0.25, 4.0))))
+    out = []
+    for dist, mu in problems:
+        sol = solve(dist, ExponentialService(mu))
+        out.append((sol, solution_summary(sol)))
+    return out
+
+
+def _complexes(values):
+    """Wire-format complex numbers, or None if any of them is null."""
+    if any(v["re"] is None or v["im"] is None for v in values):
+        return None
+    return np.array([complex(v["re"], v["im"]) for v in values])
+
+
+class TestSummaryWireFormat:
+    def test_modes_reconstruct_the_density(self, summary_corpus):
+        # documented property: sum d * zeta * exp(root * x) is the density
+        xs = np.linspace(0.0, 1.0, 257)[1:]
+        checked = 0
+        for sol, summary in summary_corpus:
+            roots, zetas, ds = (_complexes(summary[k]) for k in ("roots", "zetas", "ds"))
+            if ds is None:  # null weights: S(r) vanishes at a root
+                continue
+            mix = np.sum(ds[:, None] * zetas[:, None] * np.exp(np.outer(roots, xs)), axis=0)
+            assert float(np.max(np.abs(mix - sol.density(xs)))) < 1e-10
+            checked += 1
+        assert checked >= len(summary_corpus) - 2
+        assert any(sol.prep.degree > 12 for sol, _ in summary_corpus)
+
+    def test_imaginary_axis_modes_normalize_theta(self, summary_corpus):
+        # on r = iy, |S(r)| = |r^n (r - mu)| makes |zeta| = |theta| exactly,
+        # so the normalization is a tie that rounding must not break: theta
+        # is set to 1, i.e. zeta = S(r) / (r^n (r - mu)) from the first row
+        # of the mode system. S is evaluated independently at 60+ digits.
+        import mpmath
+
+        seen = 0
+        for sol, summary in summary_corpus:
+            n = sol.prep.degree
+            roots, zetas = _complexes(summary["roots"]), _complexes(summary["zetas"])
+            with mpmath.workdps(60 + 3 * n):
+                c = [mpmath.mpf(v) for v in sol.prep.coeffs]
+                nu = [
+                    sol.mu * mpmath.fsum(
+                        mpmath.factorial(i + n - m) / mpmath.factorial(i) * c[i + n - m]
+                        for i in range(m + 1)
+                    )
+                    for m in range(n)
+                ]
+                for r, zeta in zip(roots, zetas):
+                    if r.real != 0.0:
+                        continue
+                    rm = mpmath.mpc(r)
+                    expect = mpmath.polyval(nu[::-1], rm) / (rm**n * (rm - sol.mu))
+                    assert zeta == pytest.approx(complex(expect), abs=1e-6)
+                    seen += 1
+        assert seen >= 100
