@@ -157,19 +157,29 @@ def moment_grid(kmax: int, z: np.ndarray) -> np.ndarray:
     """Vectorized I_k over an array of nonpositive real arguments.
 
     Returns an array of shape ``(kmax + 1,) + z.shape`` with rows k = 0..kmax.
-    Uses the zero-seeded downward recurrence only — stable for all entries at
-    once (the start index adapts to the largest magnitude present) and exact
-    at z = 0, where it reproduces 1/(k+1).
+    Entries with |z| > kmax take the upward recurrence at every order, where
+    it is contractive (k < |z|) and stays accurate after exp(z) underflows.
+    The others take the zero-seeded downward recurrence, whose start index
+    adapts to the largest of their magnitudes; it is exact at z = 0, where
+    it reproduces 1/(k+1).
     """
     z = np.asarray(z, dtype=float)
     if np.any(z > 0.0):
         raise ValueError("moment_grid expects nonpositive real arguments")
-    start = _downward_start(kmax, float(np.max(np.abs(z))) if z.size else 0.0)
-    ez = np.exp(z)
-    cur = np.zeros_like(z)
-    rows = [np.empty(0)] * (kmax + 1)
-    for k in range(start, 0, -1):
-        cur = (ez - z * cur) / k
+    rows = np.empty((kmax + 1,) + z.shape)
+    up = -z > kmax
+    zd = z[~up]
+    ez = np.exp(zd)
+    cur = np.zeros_like(zd)
+    for k in range(_downward_start(kmax, float(np.max(-zd, initial=0.0))), 0, -1):
+        cur = (ez - zd * cur) / k
         if k - 1 <= kmax:
-            rows[k - 1] = cur
-    return np.stack(rows, axis=0)
+            rows[k - 1, ~up] = cur
+    zu = z[up]
+    ez = np.exp(zu)
+    cur = np.expm1(zu) / zu
+    rows[0, up] = cur
+    for k in range(1, kmax + 1):
+        cur = (ez - k * cur) / zu
+        rows[k, up] = cur
+    return rows

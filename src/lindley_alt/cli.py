@@ -23,8 +23,7 @@ figure1
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 Errors are emitted as one-line JSON on stderr. Every command is
-deterministic given its full flag set; LINDLEY_ALT_THREADS caps Monte
-Carlo shards.
+deterministic given its full flag set.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .distributions import (
 )
 from .errors import InputError, LindleyAltError, NotACdf, NumericalError
 from .oracle import (
+    MIN_SIMULATION_STEPS,
     FixedPointProblem,
     density_estimate,
     fixed_point_solve,
@@ -107,8 +107,10 @@ class RunConfig:
         g = self.grid
         if g < 2 or g & (g - 1) or g > 2**20:
             problems.append(f"grid must be a power of two in [2, 2^20], got {g}")
-        if not 0 < self.samples <= 10**8:
-            problems.append(f"samples must lie in [1, 1e8], got {self.samples}")
+        if not MIN_SIMULATION_STEPS <= self.samples <= 10**8:
+            problems.append(
+                f"samples must lie in [{MIN_SIMULATION_STEPS}, 1e8], got {self.samples}"
+            )
         if self.seed < 0:
             problems.append(f"seed must be nonnegative, got {self.seed}")
         if self.fmt not in ("json", "csv"):

@@ -8,7 +8,7 @@ them usable as oracles:
   H(u) = E[F_B(u + A)] — on a uniform grid, with the kernel H in closed
   form and the Riemann–Stieltjes sum evaluated by FFT convolution.
 * :func:`simulate` runs the recursion W <- max(0, B - A - W) directly with
-  a counter-based generator (Philox), reproducible per (seed, shard count).
+  a counter-based generator (Philox), reproducible per seed.
 
 The map contracts at rate P[B > A] < 1, so the iteration converges
 geometrically from any start; starting from F = 1 (W degenerate at zero)
@@ -18,7 +18,6 @@ makes the first iterate equal H itself, an analytically checkable step.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "simulate",
     "ks_distance",
     "density_estimate",
-    "monte_carlo_shards",
 ]
 
 #: Default grid resolution (power of two) of the fixed-point oracle.
@@ -51,6 +49,9 @@ DEFAULT_GRID = 2**14
 
 #: Default sup-norm stopping tolerance of the fixed-point iteration.
 DEFAULT_TOL = 1e-10
+
+#: Fewest recursion steps :func:`simulate` accepts (a stable estimate).
+MIN_SIMULATION_STEPS = 10**4
 
 #: Recursion steps simulated per chunk (bounds memory at ~24 MB/chunk).
 _CHUNK = 1 << 20
@@ -230,20 +231,10 @@ class SimulationResult:
     n: int
     warmup: int
     seed: int
-    shards: int
 
     def empirical_cdf(self, x) -> np.ndarray:
-        """Right-continuous empirical CDF of the pooled samples."""
+        """Right-continuous empirical CDF of the samples."""
         return np.searchsorted(self.samples, x, side="right") / self.samples.size
-
-
-def monte_carlo_shards() -> int:
-    """Number of independent simulation streams (capped by LINDLEY_ALT_THREADS)."""
-    raw = os.environ.get("LINDLEY_ALT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def simulate(
@@ -252,54 +243,42 @@ def simulate(
     n: int,
     warmup: int = 1000,
     seed: int = 0,
-    shards: int | None = None,
 ) -> SimulationResult:
     """Drive W <- max(0, B - A - W) for n post-warmup steps.
 
     Draws are vectorized in chunks (inverse-CDF preparation times, inverse
     exponential service times); the recursion itself is inherently
-    sequential. With ``shards`` > 1 the steps split into independent
-    recursion streams, each with its own warmup and its own Philox stream
-    spawned from the seed; samples are pooled. Deterministic per
-    (seed, shard count).
+    sequential. One Philox stream, keyed by the seed, feeds every draw, so
+    the samples are deterministic per seed.
     """
-    if n < 10**4:
-        raise ValueError("need at least 1e4 recursion steps for a stable estimate")
-    if shards is None:
-        shards = monte_carlo_shards()
-    shards = max(1, min(shards, n // 10**3 or 1))
-    spawned = np.random.SeedSequence(seed).spawn(shards)
-    per_shard = [n // shards] * shards
-    per_shard[0] += n - sum(per_shard)
-    pooled = []
-    for shard_seq, shard_n in zip(spawned, per_shard):
-        rng = np.random.Generator(np.random.Philox(shard_seq))
-        samples = np.empty(shard_n)
-        wait = 0.0
-        produced = -warmup  # negative counts remaining warmup steps
-        while produced < shard_n:
-            block = min(_CHUNK, shard_n - produced)
-            prep = inverse_cdf_array(dist, rng.random(size=block))
-            service = rng.exponential(scale=1.0 / svc.rate, size=block)
-            for i in range(block):
-                wait = prep[i] - service[i] - wait
-                if wait < 0.0:
-                    wait = 0.0
-                if produced >= 0:
-                    samples[produced] = wait
-                produced += 1
-                if produced == shard_n:
-                    break
-        pooled.append(samples)
-    merged = np.sort(np.concatenate(pooled))
-    zeros = int(np.searchsorted(merged, 0.0, side="right"))
+    if n < MIN_SIMULATION_STEPS:
+        raise ValueError(
+            f"need at least {MIN_SIMULATION_STEPS} recursion steps for a stable estimate"
+        )
+    if warmup < 0:
+        raise ValueError(f"warmup must be nonnegative, got {warmup}")
+    # spawn_key (0,) selects the first child stream of SeedSequence(seed),
+    # the stream every recorded simulation output was drawn from.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    path = np.empty(warmup + n)
+    wait = 0.0
+    for start in range(0, path.size, _CHUNK):
+        block = min(_CHUNK, path.size - start)
+        prep = inverse_cdf_array(dist, rng.random(size=block))
+        service = rng.exponential(scale=1.0 / svc.rate, size=block)
+        for i in range(block):
+            wait = prep[i] - service[i] - wait
+            if wait < 0.0:
+                wait = 0.0
+            path[start + i] = wait
+    samples = np.sort(path[warmup:])
+    zeros = int(np.searchsorted(samples, 0.0, side="right"))
     return SimulationResult(
-        samples=merged,
-        pi0_hat=zeros / merged.size,
+        samples=samples,
+        pi0_hat=zeros / n,
         n=n,
         warmup=warmup,
         seed=seed,
-        shards=shards,
     )
 
 

@@ -48,6 +48,7 @@ class TestRunConfig:
             {"samples": 0},
             {"seed": -1},
             {"fmt": "xml"},
+            {"samples": 5000},  # below the Monte Carlo step minimum
         ],
     )
     def test_rejects_bad_flags(self, kwargs):
@@ -169,6 +170,12 @@ class TestVerifyCommand:
             "monte_carlo_ks",
             "monte_carlo_pi0_gap",
         }
+
+    def test_fixed_point_oracle_at_high_rate(self, capsys):
+        rc = main(["verify", "--dist", "uniform", "--mu", "1000", "--samples", "60000"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert all(line.startswith("PASS") for line in lines)
 
     def test_polynomial_dist_needs_no_order(self, capsys):
         rc = main(["verify", "--dist", "uniform", "--samples", "60000"])

@@ -171,6 +171,15 @@ class TestProbBGreaterA:
             want = 1.0 - dist.atom * 1.0 - val  # E[e^{-B}] = atom + integral
             assert prob_B_greater_A(dist, svc1) == pytest.approx(want, abs=1e-9)
 
+    def test_one_segment_piecewise_law_agrees_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            dist = random_polynomial_cdf(rng)
+            piece = PiecewisePolynomialCdf((0.0, 1.0), (dist.coeffs,))
+            for mu in (0.01, 1.0, 17.0, 300.0):
+                svc = ExponentialService(mu)
+                assert prob_B_greater_A(dist, svc) == prob_B_greater_A(piece, svc)
+
 
 class TestSampling:
     def test_uniform_inverse_is_identity(self, uniform):
@@ -180,6 +189,10 @@ class TestSampling:
         dist = validate([0.3, 0.7])
         assert inverse_cdf(dist, 0.3) == 0.0
         assert inverse_cdf(dist, 0.299) == 0.0
+
+    def test_unit_deviate_maps_to_one(self, triangular):
+        # in floating point F(x) rounds to 1 already about 7e-9 below x = 1
+        assert inverse_cdf(triangular, 1.0) == 1.0
 
     def test_triangular_median(self, triangular):
         assert inverse_cdf(triangular, 0.5) == pytest.approx(0.5, abs=1e-9)

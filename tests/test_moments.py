@@ -116,6 +116,17 @@ class TestGrid:
                 want = exp_weighted_moment(k, complex(zj))
                 assert grid[k, j] == pytest.approx(want.real, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("kmax", [6, 40])
+    def test_matches_scalar_where_exp_underflows(self, kmax):
+        # exp(-1000) underflows to 0; at -300 a zero-seeded downward pass
+        # needs hundreds of steps above the top order to forget its seed
+        z = np.array([-300.0, -1000.0])
+        grid = moment_grid(kmax, z)
+        for j, zj in enumerate(z):
+            want = moment_table(kmax, complex(zj))
+            for k in range(kmax + 1):
+                assert grid[k, j] == pytest.approx(want[k].real, rel=1e-13)
+
     def test_rejects_positive_arguments(self):
         with pytest.raises(ValueError):
             moment_grid(3, np.array([-1.0, 0.5]))
