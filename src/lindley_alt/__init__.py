@@ -33,7 +33,6 @@ from .errors import (
     PairingFailure,
     PostconditionViolation,
     RepeatedRoot,
-    SingularCoupling,
 )
 from .distributions import (
     ExponentialService,
@@ -91,7 +90,6 @@ __all__ = [
     "ConvergenceFailure",
     "PairingFailure",
     "DegenerateMode",
-    "SingularCoupling",
     "PostconditionViolation",
     "NonConvergence",
     "IllConditioned",

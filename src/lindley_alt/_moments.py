@@ -14,8 +14,8 @@ computed here by stable recurrences in every parameter regime:
   large positive real part, where exp(r) itself would overflow.
 
 The scalar entry point :func:`exp_weighted_moment` is the public contract
-(re-exported by :mod:`lindley_alt.solver`); the array helpers are private to
-the package.
+(re-exported by :mod:`lindley_alt`); the array helpers are private to the
+package.
 """
 
 from __future__ import annotations

@@ -259,8 +259,10 @@ def _verify_checks(config: RunConfig):
 
     sim = simulate(dist, svc, config.samples, seed=config.seed)
     ks = ks_distance(sim.samples, solution.cdf)
-    yield ("monte_carlo_ks", ks, 0.005)
-    yield ("monte_carlo_pi0_gap", abs(sim.pi0_hat - solution.pi0), 0.005)
+    # sampling noise shrinks like 1/sqrt(samples): 5e-3 at the default 10^6
+    mc_tol = 5e-3 * math.sqrt(10**6 / config.samples)
+    yield ("monte_carlo_ks", ks, mc_tol)
+    yield ("monte_carlo_pi0_gap", abs(sim.pi0_hat - solution.pi0), mc_tol)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -271,9 +273,10 @@ def cmd_verify(config: RunConfig) -> int:
     for name, measured, threshold in _verify_checks(config):
         ok = measured < threshold
         failures += 0 if ok else 1
-        lines.append(
-            f"{'PASS' if ok else 'FAIL'}  {name:<32} {measured:.3e} < {threshold:.0e}"
-        )
+        limit = f"{threshold:.0e}"
+        if float(limit) != threshold:  # a scaled Monte Carlo tolerance
+            limit = f"{threshold:.3e}"
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<32} {measured:.3e} < {limit}")
     _emit("\n".join(lines) + "\n", config.out)
     return 0 if failures == 0 else 3
 

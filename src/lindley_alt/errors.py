@@ -21,7 +21,6 @@ __all__ = [
     "ConvergenceFailure",
     "PairingFailure",
     "DegenerateMode",
-    "SingularCoupling",
     "PostconditionViolation",
     "NonConvergence",
     "IllConditioned",
@@ -92,11 +91,7 @@ class PairingFailure(NumericalError):
 
 
 class DegenerateMode(NumericalError):
-    """Both rows of the 2x2 mode system vanished (repeated root leaked through)."""
-
-
-class SingularCoupling(NumericalError):
-    """The coupling denominator vanished; the pair relation cannot be solved."""
+    """A pair's mode column vanished (a repeated root leaked through)."""
 
 
 class PostconditionViolation(NumericalError):

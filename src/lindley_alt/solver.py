@@ -20,7 +20,7 @@ Numerical backbone:
   a mode is parametrized as exp(r*(x-1)) — so nothing overflows even when
   roots have large real parts (which near-degenerate inputs do produce);
 * no quadrature anywhere: every integral reduces to the closed-form moment
-  family of :func:`exp_weighted_moment`;
+  family of :mod:`lindley_alt._moments`;
 * the derivative-hierarchy weights and characteristic coefficients are
   assembled in exact rational arithmetic (they cancel catastrophically in
   floating point);
@@ -47,7 +47,6 @@ from ._moments import (
     _anchored_moments,
     _moments,
     anchored_moment_table,
-    exp_weighted_moment,
     moment_table,
 )
 from ._numeric import DOUBLE, EXTENDED, context_of
@@ -60,20 +59,16 @@ from .errors import (
     PairingFailure,
     PostconditionViolation,
     RepeatedRoot,
-    SingularCoupling,
 )
 
 __all__ = [
     "CharacteristicSystem",
     "Mode",
     "WaitingTimeSolution",
-    "exp_weighted_moment",
     "nu_coefficients",
     "characteristic_polynomial",
     "find_roots",
     "pair_roots",
-    "mode_vector",
-    "coupling_factor",
     "assemble_linear_system",
     "solve",
     "eval_waiting_density",
@@ -91,8 +86,8 @@ _REPEATED_ROOT_TOL = 1e-7
 #: Grid used by the solution's structural self-checks.
 _CHECK_GRID = 1025
 
-#: Relative gap below which the two mode-vector components count as equal in
-#: magnitude; theta is then the one normalized to 1.
+#: Relative gap below which a pair column's head and tail count as equal in
+#: magnitude; the reported theta is then the one normalized to 1.
 _NORMALIZATION_TIE = 1e-12
 
 
@@ -119,8 +114,8 @@ class Mode:
     or positive imaginary part on the imaginary axis). The pair's density
     contribution is ``strength * (head*exp(root*(x-1)) + tail*exp(-root*x))``
     with ``(head, tail)`` the balanced column built by
-    :func:`_pair_coefficients` — finite for every root, including where the
-    coupled parametrization reported by :func:`solution_summary` diverges.
+    :func:`_pair_coefficients` — finite for every root. It is also all that
+    :func:`solution_summary` needs for the coupled form it reports.
     """
 
     root: complex
@@ -310,28 +305,16 @@ def pair_roots(roots: np.ndarray) -> np.ndarray:
     return np.array(reps + [-r for r in reversed(reps)])
 
 
-def _balanced_tail(nu, r, n: int):
-    """(S(r), r^n) with S(r) = sum_{i<n} nu_i r^i, both divided by r^n when
-    |r| >= 1 so that neither overflows however large the root."""
-    if abs(r) >= 1:
-        acc = 0
-        inv = 1 / r
-        for i in range(n):  # Horner in u = 1/r: sum_i nu_i u^{n-i}, nu_0 innermost
-            acc = (acc + nu[i]) * inv
-        return acc, 1
-    return context_of(r).polyval(nu[:n][::-1], r), r**n
-
-
 def _pair_coefficients(r, nu, mu, n: int):
     """Balanced coefficients (head, tail) of one pair's density column.
 
-    The pair contributes head * exp(r*(x-1)) + tail * exp(-r*x), which spans
-    the same direction as the coupled form zeta*exp(r*(x-1)) +
-    qa*partner_zeta*exp(-r*x) — the identity qa*partner_zeta =
-    zeta*r^n*(r-mu)/S(r) rescales one into the other — but is built without
-    dividing by S(r), so it stays finite at roots where S vanishes and the
-    coupling parametrization has a (removable) singularity. Normalized so the
-    larger coefficient has magnitude 1.
+    The pair contributes head * exp(r*(x-1)) + tail * exp(-r*x) with
+    (head, tail) parallel to (S(r), r^n (r - mu)), S(r) = sum_{i<n} nu_i r^i:
+    at a root this is the null vector of the 2x2 mode system, so the column
+    also carries the coupled form :func:`solution_summary` reports. Both are
+    divided by r^n when |r| >= 1, so neither overflows however large the
+    root, and nothing is divided by S(r), so the column stays finite where S
+    vanishes. Normalized so the larger coefficient has magnitude 1.
 
     Raises
     ------
@@ -339,103 +322,18 @@ def _pair_coefficients(r, nu, mu, n: int):
         If both coefficients vanish (only possible at a root collapsing onto
         the origin, which the repeated-root guard rejects earlier).
     """
-    head, rn = _balanced_tail(nu, r, n)
+    if abs(r) >= 1:
+        head, rn = 0, 1
+        inv = 1 / r
+        for i in range(n):  # Horner in u = 1/r: sum_i nu_i u^{n-i}, nu_0 innermost
+            head = (head + nu[i]) * inv
+    else:
+        head, rn = context_of(r).polyval(nu[:n][::-1], r), r**n
     tail = rn * (r - mu)
     scale = max(abs(head), abs(tail))
     if not 0 < scale < math.inf:
         raise DegenerateMode(f"pair column vanished at root {complex(r):.6g}")
     return head / scale, tail / scale
-
-
-def mode_vector(r, nu, svc: ExponentialService, n: int) -> tuple[complex, complex]:
-    """Nontrivial (zeta, theta) solving the 2x2 mode system at a simple root.
-
-    Normalized so the larger-magnitude component is exactly 1 (real,
-    positive), which makes solutions reproducible regardless of root-finder
-    ordering; when the magnitudes agree to 1e-12 relative — always, up to
-    rounding, on the imaginary axis, where |S(r)| = |r^n (r - mu)| — theta
-    is the one set to 1. Both rows are verified to residual < 1e-6 relative
-    to the matrix scale. ``r`` and ``nu`` may be extended-precision numbers;
-    the result is double.
-
-    Raises
-    ------
-    DegenerateMode
-        If the system has no one-dimensional nullspace (both rows vanish)
-        — the signature of a repeated root that slipped through.
-    """
-    mu = svc.rate
-    # rows [r^n (r - mu), -S(r)] and [(-1)^n S(-r), r^n (r + mu)] acting on
-    # (zeta, theta), balanced like S(r)
-    s_p, rn = _balanced_tail(nu, r, n)
-    s_m, _ = _balanced_tail(nu, -r, n)
-    sign = 1 if abs(r) >= 1 else (-1) ** n  # S(-r)/(-r)^n -> S(-r)/r^n
-    rows = np.array([[rn * (r - mu), -s_p], [sign * s_m, rn * (r + mu)]], dtype=complex)
-    label = complex(r)
-    scale = float(np.max(np.abs(rows)))
-    if scale == 0.0 or not math.isfinite(scale):
-        raise DegenerateMode(f"mode system vanished identically at root {label:.6g}")
-    _, svals, vh = np.linalg.svd(rows / scale)
-    if svals[0] < 1e-13:
-        raise DegenerateMode(f"mode system vanished identically at root {label:.6g}")
-    vec = vh[-1].conj()
-    mags = np.abs(vec)
-    tie = abs(mags[0] - mags[1]) <= _NORMALIZATION_TIE * max(mags)
-    vec = vec / vec[1 if tie else int(np.argmax(mags))]
-    zeta, theta = complex(vec[0]), complex(vec[1])
-    vnorm = max(abs(zeta), abs(theta))
-    # residuals are judged against the matrix scale, not per-row norms: at a
-    # near-zero root one row is catastrophically cancelled (its true entries
-    # are ~1e-50) and its computed norm is pure noise, while the null vector
-    # from the accurate row is still correct. Genuine degeneracy — a repeated
-    # root that slipped through — shows up at ~1e-2 relative to the matrix.
-    for row in rows:
-        resid = abs(row[0] * zeta + row[1] * theta)
-        if resid > 1e-6 * scale * vnorm:
-            raise DegenerateMode(
-                f"mode vector residual {resid / (scale * vnorm):.2e} at root {label:.6g}"
-            )
-    return zeta, theta
-
-
-def coupling_factor(
-    r,
-    zeta: complex,
-    partner_zeta: complex,
-    nu,
-    svc: ExponentialService,
-    n: int,
-) -> tuple[complex, complex]:
-    """Weight ratio tying a partner mode to its representative.
-
-    Returns ``(coupling, anchored_coupling)`` where the partner's weight is
-    coupling * representative weight and anchored_coupling = coupling *
-    exp(-root) is the bounded form used internally:
-
-        anchored_coupling = zeta * (r - mu) / (partner_zeta * S(r)/r^n).
-
-    ``r`` and ``nu`` may be extended-precision numbers; the result is double.
-
-    Raises
-    ------
-    SingularCoupling
-        If S(r) vanishes at the root relative to its term scale — the
-        closed-form construction assumes it nonzero.
-    """
-    # denominator balanced like S(r), so nothing overflows; its term scale
-    # sum |nu_i| |r|^i balanced the same way
-    s_val, rn = _balanced_tail(nu, r, n)
-    s_scale = abs(_balanced_tail([abs(v) for v in nu], abs(r), n)[0])
-    numerator = zeta * rn * (r - svc.rate)
-    if abs(s_val) < 1e-12 * max(s_scale, 1e-300):
-        raise SingularCoupling(
-            f"coupling denominator vanished at root {complex(r):.6g} "
-            f"(|S(r)| = {float(abs(s_val)):.2e}, scale {float(s_scale):.2e})"
-        )
-    anchored = numerator / (partner_zeta * s_val)
-    if r.real > 709.0:
-        return complex(math.inf), complex(anchored)
-    return complex(anchored * context_of(r).exp(r)), complex(anchored)
 
 
 def _basis_tables(basis, n: int, ctx):
@@ -561,10 +459,7 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     Raises
     ------
     RepeatedRoot, ConvergenceFailure, DegenerateMode
-        Propagated from the corresponding stages. A singular coupling is NOT
-        an error here: the balanced pair columns avoid the division by S(r),
-        so such solves succeed, with the coupled-form report fields (weight,
-        coupling) of :func:`solution_summary` degrading to null.
+        Propagated from the corresponding stages.
     PostconditionViolation
         If the assembled solution violates a structural invariant
         (normalization, realness, nonnegativity, root symmetry).
@@ -758,37 +653,28 @@ def solution_summary(sol: WaitingTimeSolution) -> dict:
     Roots/zetas/ds list both members of every pair (representatives first,
     then their negations in mirrored order) so the density is reconstructible
     directly as sum d * zeta * exp(root * x); qs has one entry per pair.
-    These coupled-form quantities are only reported, so they are computed
-    here, in the numeric context the solve ran in: zeta from the mode system
-    (normalized with theta = 1 where |zeta| = |theta|, as on the imaginary
-    axis), the coupling q tying a partner's weight to its representative's,
-    and the weights d. Values that overflow double precision serialize as
-    null, as do the weights and coupling where S(r) vanishes at the root.
+    These coupled-form quantities are only reported, so they are read off
+    each mode's balanced column here, in closed form. At a root the mode
+    system's null vector (zeta, theta) is parallel to (head, tail) and the
+    partner's to (tail, head); each is normalized so its larger component is
+    1, with theta = 1 when the magnitudes agree to 1e-12 relative (always, up
+    to rounding, on the imaginary axis). The weights follow as
+    d * zeta = strength * head * exp(-root) and partner d * partner zeta =
+    strength * tail, and the coupling q = partner d / d is exp(root), times
+    zeta on a tie. Values that overflow double precision serialize as null.
     """
-    n = sol.prep.degree
-    ctx = _context(n)
     reported = []  # (zeta, partner zeta, q, d, partner d) per pair
-    with ctx.precision(n):
-        nu_fr = ctx.exact(exact_nu(sol.prep.coeffs, sol.mu))
-        nu = [ctx.real(v) for v in nu_fr]
-        char = [ctx.real(v) for v in exact_char(nu_fr, sol.mu)]
-        dchar = [k * a for k, a in enumerate(char)][1:]
-        for m in sol.modes:
-            # back to the working precision the solve found the root in
-            r = _polish(char, dchar, ctx.complex(m.root), ctx)
-            zeta, _ = mode_vector(r, nu, sol.service, n)
-            pzeta, _ = mode_vector(-r, nu, sol.service, n)
-            try:
-                q, qa = coupling_factor(r, zeta, pzeta, nu, sol.service, n)
-            except SingularCoupling:
-                q = qa = complex(math.inf, 0.0)
-            if cmath.isfinite(q) and zeta != 0.0:
-                # strength * head = anchored_weight * zeta
-                anchored_weight = m.strength * m.head / zeta
-                weight = anchored_weight * cmath.exp(-m.root)
-            else:
-                anchored_weight = weight = complex(math.inf, 0.0)
-            reported.append((zeta, pzeta, q, weight, anchored_weight * qa))
+    for m in sol.modes:
+        head, tail = m.head, m.tail
+        tie = abs(abs(head) - abs(tail)) <= _NORMALIZATION_TIE * max(abs(head), abs(tail))
+        theta_one = tie or abs(tail) > abs(head)  # else zeta = 1
+        ptheta_one = tie or abs(head) > abs(tail)  # else partner zeta = 1
+        zeta = head / tail if theta_one else complex(1.0)
+        pzeta = tail / head if ptheta_one else complex(1.0)
+        q = DOUBLE.exp(m.root) * (zeta if tie else 1.0)
+        weight = m.strength * cmath.exp(-m.root) * (tail if theta_one else head)
+        pweight = m.strength * (head if ptheta_one else tail)
+        reported.append((zeta, pzeta, q, weight, pweight))
     zetas, pzetas, qs, ds, pds = zip(*reported)
     roots = [m.root for m in sol.modes] + [-m.root for m in reversed(sol.modes)]
     return {

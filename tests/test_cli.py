@@ -177,6 +177,14 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_monte_carlo_tolerance_scales_with_samples(self, capsys):
+        # 2*10^4 steps: KS 6.2e-3 is sampling noise, inside 5e-3*sqrt(50)
+        rc = main(["verify", "--dist", "uniform", "--mu", "1000", "--samples", "20000"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert all(line.startswith("PASS") for line in lines)
+        assert lines[2].endswith("< 3.536e-02")
+
     def test_polynomial_dist_needs_no_order(self, capsys):
         rc = main(["verify", "--dist", "uniform", "--samples", "60000"])
         assert rc == 0

@@ -198,10 +198,14 @@ class TestSampling:
         assert inverse_cdf(triangular, 0.5) == pytest.approx(0.5, abs=1e-9)
 
     def test_array_matches_scalar(self, triangular):
+        # both paths against the closed-form triangular inverse (the scalar
+        # one runs through the array one, so comparing them checks nothing)
         u = np.linspace(0.01, 0.99, 23)
         arr = inverse_cdf_array(triangular, u)
         for ui, xi in zip(u, arr):
-            assert xi == pytest.approx(inverse_cdf(triangular, float(ui)), abs=1e-9)
+            exact = math.sqrt(ui / 2.0) if ui <= 0.5 else 1.0 - math.sqrt((1.0 - ui) / 2.0)
+            assert xi == pytest.approx(exact, abs=1e-12)
+            assert inverse_cdf(triangular, float(ui)) == pytest.approx(exact, abs=1e-12)
 
     def test_sample_is_in_support(self, triangular):
         rng = np.random.default_rng(5)

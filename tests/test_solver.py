@@ -369,13 +369,24 @@ class TestSummaryWireFormat:
         checked = 0
         for sol, summary in summary_corpus:
             roots, zetas, ds = (_complexes(summary[k]) for k in ("roots", "zetas", "ds"))
-            if ds is None:  # null weights: S(r) vanishes at a root
+            if ds is None:  # a null weight would be an overflow
                 continue
             mix = np.sum(ds[:, None] * zetas[:, None] * np.exp(np.outer(roots, xs)), axis=0)
             assert float(np.max(np.abs(mix - sol.density(xs)))) < 1e-10
             checked += 1
         assert checked >= len(summary_corpus) - 2
         assert any(sol.prep.degree > 12 for sol, _ in summary_corpus)
+
+    def test_couplings_are_closed_form(self, summary_corpus):
+        # q = exp(root) off the imaginary axis and exp(root) * zeta on it,
+        # and no weight is null
+        for sol, summary in summary_corpus:
+            qs, ds = _complexes(summary["qs"]), _complexes(summary["ds"])
+            assert qs is not None and ds is not None
+            roots, zetas = _complexes(summary["roots"]), _complexes(summary["zetas"])
+            for j, q in enumerate(qs):
+                expect = np.exp(roots[j]) * (zetas[j] if roots[j].real == 0.0 else 1.0)
+                assert q == pytest.approx(expect, rel=1e-12)
 
     def test_imaginary_axis_modes_normalize_theta(self, summary_corpus):
         # on r = iy, |S(r)| = |r^n (r - mu)| makes |zeta| = |theta| exactly,
