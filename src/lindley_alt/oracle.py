@@ -6,7 +6,7 @@ them usable as oracles:
 * :func:`fixed_point_solve` iterates the contraction map underlying the
   stationarity equation — F <- TF with (TF)(x) = integral H(x+y) dF(y),
   H(u) = E[F_B(u + A)] — on a uniform grid, with the kernel H in closed
-  form and the Riemann–Stieltjes sum evaluated by FFT convolution.
+  form and the Riemann–Stieltjes sum evaluated as a numpy rfft correlation.
 * :func:`simulate` runs the recursion W <- max(0, B - A - W) directly with
   a counter-based generator (Philox), reproducible per seed.
 
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .distributions import (
     ExponentialService,
@@ -162,17 +161,38 @@ def stieltjes_weights(values: np.ndarray) -> np.ndarray:
     return w
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the real-FFT length scipy's fftconvolve picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def apply_map(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """One application of the contraction map to a grid CDF.
 
     (TF)(x_i) = sum_j w_j * H(x_i + y_j), with H extended by 1 beyond the
-    unit interval and the sum evaluated as one FFT correlation. The output
-    is re-monotonized and clipped to [0, 1], absorbing FFT roundoff (~1e-15).
+    unit interval and the sum evaluated as one numpy rfft correlation. The
+    output is re-monotonized and clipped to [0, 1], absorbing FFT roundoff
+    (~1e-15).
     """
     g = values.size - 1
     extended = np.concatenate([kernel, np.ones(g)])
     w = stieltjes_weights(values)
-    out = fftconvolve(w[::-1], extended)[g : 2 * g + 1]
+    # Any length >= 2g + 1 keeps the slice free of wrap-around. At the length
+    # scipy's fftconvolve picks for the full (3g + 1)-entry convolution the
+    # sums round as that reference's do, so frozen oracle values hold bitwise.
+    n = _fast_len(3 * g + 1)
+    out = np.fft.irfft(np.fft.rfft(w[::-1], n) * np.fft.rfft(extended, n), n)[g : 2 * g + 1]
     return np.minimum(np.maximum.accumulate(np.maximum(out, 0.0)), 1.0)
 
 
@@ -214,11 +234,12 @@ def density_estimate(grid: GridCdf) -> np.ndarray:
     raw[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     raw[0] = (v[1] - v[0]) / h
     raw[-1] = (v[-1] - v[-2]) / h
-    smooth = np.empty_like(raw)
-    n = raw.size
-    for i in range(n):
-        radius = min(2, i, n - 1 - i)
-        smooth[i] = float(np.mean(raw[i - radius : i + radius + 1]))
+    # Windows of 5, of 3 one point in from either edge, of 1 at the edge.
+    # Each sum adds left to right, the order np.mean uses for so few terms,
+    # so the result equals a per-point np.mean bit for bit.
+    smooth = raw.copy()
+    smooth[1:-1] = ((raw[:-2] + raw[1:-1]) + raw[2:]) / 3.0
+    smooth[2:-2] = ((((raw[:-4] + raw[1:-3]) + raw[2:-2]) + raw[3:-1]) + raw[4:]) / 5.0
     return smooth
 
 

@@ -16,12 +16,14 @@ from conftest import random_piecewise_cdf, random_polynomial_cdf
 from lindley_alt.bernstein import (
     MAX_ORDER,
     FitReport,
+    _as_callable,
     bernstein_fit,
     fit_report,
     sup_distance,
 )
 from lindley_alt.distributions import (
     PolynomialCdf,
+    _golden_min,
     eval_cdf,
     triangular_cdf,
     uniform_cdf,
@@ -174,3 +176,29 @@ class TestSupDistance:
     def test_atom_difference_counts(self):
         with_atom = validate([0.3, 0.7])
         assert sup_distance(with_atom, uniform_cdf()) == pytest.approx(0.3, abs=1e-9)
+
+    def test_blocked_scan_matches_full_grid_scan(self):
+        # Reference: one numpy scan of all 2^14 + 1 grid points, first
+        # maximum, then the same golden-section refinement around it.
+        def full_scan(f, g, grid=2**14):
+            xs = np.arange(grid + 1) / grid
+            gaps = np.abs(f(xs) - g(xs))
+            k = int(np.argmax(gaps))
+            x_star = float(_golden_min(
+                lambda x: -abs(float(f(x)) - float(g(x))),
+                xs[max(k - 1, 0)], xs[min(k + 1, grid)],
+            ))
+            best = abs(float(f(x_star)) - float(g(x_star)))
+            if best < gaps[k]:
+                return float(gaps[k]), float(xs[k])
+            return best, x_star
+
+        tri = triangular_cdf()
+        cases = [(bernstein_fit(tri, order), tri) for order in range(1, 13)]
+        # a plateau: the gap 1/4 is attained at every grid point from 1/4 on,
+        # in both scan blocks, so only the first-maximum rule fixes the location
+        cases.append((lambda x: np.asarray(x, dtype=float),
+                      lambda x: np.clip(np.asarray(x, dtype=float) - 0.25, 0.0, 1.0)))
+        for first, second in cases:
+            f, g = _as_callable(first), _as_callable(second)
+            assert sup_distance(first, second, locate=True) == full_scan(f, g)

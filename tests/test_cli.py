@@ -325,3 +325,27 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["epsilon"] == pytest.approx(0.125, abs=1e-9)
+
+
+def test_no_command_imports_scipy():
+    # scipy is a test-only dependency: no CLI command may load any part of it
+    script = """
+import contextlib, io, sys
+from lindley_alt.cli import main
+runs = [
+    ["fit", "--dist", "triangular", "--order", "5"],
+    ["solve", "--dist", "triangular", "--order", "5"],
+    ["bound", "--dist", "triangular", "--order", "3"],
+    ["table1"],
+    ["verify", "--dist", "triangular", "--order", "3", "--samples", "20000"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -26,6 +26,7 @@ from lindley_alt.errors import NonConvergence
 from lindley_alt.oracle import (
     FixedPointProblem,
     GridCdf,
+    _fast_len,
     apply_map,
     density_estimate,
     fixed_point_solve,
@@ -71,6 +72,22 @@ class TestFixedPoint:
         kernel = precompute_kernel(uniform, svc1, 1024)
         first = apply_map(kernel, np.ones(1025))
         assert np.max(np.abs(first - np.minimum(kernel, 1.0))) <= 1e-14
+
+    def test_map_matches_scipy_fftconvolve(self, svc1, triangular):
+        from scipy.fft import next_fast_len
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(5)
+        for power in range(1, 17):
+            g = 2**power
+            assert _fast_len(3 * g + 1) == next_fast_len(3 * g + 1, real=True)
+            kernel = precompute_kernel(triangular, svc1, g)
+            values = np.cumsum(rng.random(g + 1))
+            values /= values[-1]
+            w = stieltjes_weights(values)
+            full = fftconvolve(w[::-1], np.concatenate([kernel, np.ones(g)]))[g : 2 * g + 1]
+            expected = np.minimum(np.maximum.accumulate(np.maximum(full, 0.0)), 1.0)
+            assert np.max(np.abs(apply_map(kernel, values) - expected)) <= 1e-13, g
 
     def test_uniform_fixed_point_frozen(self, svc1, uniform):
         grid, iterations = fixed_point_solve(FixedPointProblem(uniform, svc1))
@@ -143,7 +160,36 @@ class TestGridCdf:
         assert math.fsum(stieltjes_weights(values)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _density_estimate_loop(grid):
+    """Per-point reference: differences, then a centered mean of up to 5."""
+    v, h = grid.values, 1.0 / grid.grid_size
+    raw = np.empty_like(v)
+    raw[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    raw[0] = (v[1] - v[0]) / h
+    raw[-1] = (v[-1] - v[-2]) / h
+    n = raw.size
+    smooth = np.empty_like(raw)
+    for i in range(n):
+        radius = min(2, i, n - 1 - i)
+        smooth[i] = float(np.mean(raw[i - radius : i + radius + 1]))
+    return smooth
+
+
 class TestDensityEstimate:
+    def test_matches_per_point_loop_bitwise(self, triangular):
+        rng = np.random.default_rng(9)
+        grids = []
+        for power in (1, 2, 3, 5, 14):
+            values = np.cumsum(rng.random(2**power + 1))
+            grids.append(GridCdf(2**power, values / values[-1]))
+            # spans twelve decades, so summation order shows in the last bit
+            grids.append(GridCdf(2**power, np.geomspace(1e-12, 1.0, 2**power + 1)))
+        for mu in (0.3, 1.0, 3.0, 17.0):
+            problem = FixedPointProblem(triangular, ExponentialService(mu), grid_size=2**10)
+            grids.append(fixed_point_solve(problem)[0])
+        for grid in grids:
+            assert np.array_equal(density_estimate(grid), _density_estimate_loop(grid))
+
     def test_matches_exact_density_in_the_interior(self, svc1, uniform):
         solution = solve(uniform, svc1)
         grid, _ = fixed_point_solve(FixedPointProblem(uniform, svc1, grid_size=2**12))
