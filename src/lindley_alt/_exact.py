@@ -30,6 +30,18 @@ from .errors import AsymmetryDetected
 EXTENDED_DEGREE = 12
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of the rationals over their least common denominator.
+
+    The inputs here are dyadic (doubles, and exact sums and products of
+    them), so the denominator is one power of two and every later sum and
+    product is plain integer arithmetic, with no gcd per operation.
+    """
+    ratios = [Fraction(v).as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios], den
+
+
 def exact_nu(coeffs: tuple[float, ...], rate: float) -> list[Fraction]:
     """The derivative-hierarchy weights as exact rationals.
 
@@ -37,17 +49,19 @@ def exact_nu(coeffs: tuple[float, ...], rate: float) -> list[Fraction]:
     weight is pinned to the rate exactly (its defining sum is the
     coefficient total, 1 for every valid CDF).
     """
-    c = [Fraction(v) for v in coeffs]
+    c, den = _over_common_denominator(coeffs)
     n = len(c) - 1
     mu = Fraction(rate)
     out = []
-    for m in range(n + 1):
+    for m in range(n):
         gap = n - m
-        total = Fraction(0)
+        total = 0
+        ratio = math.factorial(gap)  # (i + gap)!/i! at i = 0
         for i in range(m + 1):
-            total += Fraction(math.factorial(i + gap), math.factorial(i)) * c[i + gap]
-        out.append(mu * total)
-    out[n] = mu
+            total += ratio * c[i + gap]
+            ratio = ratio * (i + 1 + gap) // (i + 1)
+        out.append(mu * Fraction(total, den))
+    out.append(mu)
     return out
 
 
@@ -58,22 +72,21 @@ def exact_char(nu_fr: list[Fraction], rate: float) -> list[Fraction]:
     below is the internal bug tripwire for that invariant.
     """
     n = len(nu_fr) - 1
-    mu = Fraction(rate)
-    coeffs = [Fraction(0)] * (2 * n + 3)
-    coeffs[2 * n + 2] += 1
+    (mu, *nu), den = _over_common_denominator([rate, *nu_fr[:n]])
+    scale = den * den
+    coeffs = [0] * (2 * n + 3)
+    coeffs[2 * n + 2] += scale
     coeffs[2 * n] -= mu * mu
     sign = -1 if n % 2 else 1
     for i in range(n):
         for j in range(n):
-            term = nu_fr[i] * nu_fr[j]
-            if j % 2:
-                term = -term
-            coeffs[i + j] += sign * term
+            term = nu[i] * nu[j]
+            coeffs[i + j] += -sign * term if j % 2 else sign * term
     if any(coeffs[1::2]):
         raise AsymmetryDetected(
             "odd characteristic coefficients nonzero in exact arithmetic"
         )
-    return coeffs
+    return [Fraction(v, scale) for v in coeffs]
 
 
 def safe_float(x: Fraction) -> float:

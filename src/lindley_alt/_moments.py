@@ -183,3 +183,69 @@ def moment_grid(kmax: int, z: np.ndarray) -> np.ndarray:
         cur = (ez - k * cur) / zu
         rows[k, up] = cur
     return rows
+
+
+def complex_moment_grid(kmax: int, z: np.ndarray, anchored: bool = False) -> np.ndarray:
+    """Vectorized I_k over an array of complex arguments, or, with
+    ``anchored``, integral_0^1 y^k * exp(z*(y-1)) dy.
+
+    Returns an array of shape ``(kmax + 1,) + z.shape`` with rows k =
+    0..kmax. Each entry takes the regime :func:`_moments` and
+    :func:`_anchored_moments` take for it: the Taylor series for |z| < 1e-4,
+    the upward recurrence for orders k <= |z|, and above those the
+    zero-seeded downward recurrence, started at one index for all entries,
+    the one the largest of their magnitudes needs. Anchored values with
+    Re z > 700 run the upward recurrence on the anchored values directly;
+    the others are exp(-z) * I_k(z).
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    rows = np.empty((kmax + 1, flat.size), dtype=complex)
+    mag = np.abs(flat)
+    orders = np.arange(kmax + 1)[:, None]
+    direct = (flat.real > 700.0) & anchored
+    series = mag < _TAYLOR_RADIUS
+    recur = ~series & ~direct
+
+    zs = flat[series]
+    term = np.ones_like(zs)
+    total = np.zeros((kmax + 1, zs.size), dtype=complex) + 1.0 / (orders + 1)
+    m = 0
+    while zs.size and m < DOUBLE.terms:
+        m += 1
+        term = term * zs / m
+        inc = term / (orders + m + 1)
+        total += inc
+        if np.all(np.abs(inc) <= DOUBLE.eps * np.abs(total)):
+            break
+    rows[:, series] = total
+
+    zr, mr = flat[recur], mag[recur]
+    ez = np.exp(zr)
+    vals = np.empty((kmax + 1, zr.size), dtype=complex)
+    vals[0] = cur = np.expm1(zr) / zr
+    # Upward at every entry; past k = |z| it amplifies error and may
+    # overflow, and the downward pass replaces those orders.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, kmax + 1):
+            vals[k] = cur = (ez - k * cur) / zr
+    k_up = np.minimum(kmax, mr.astype(int))
+    down = k_up < kmax
+    if np.any(down):
+        zd, ed, kd = zr[down], ez[down], k_up[down]
+        high = vals[:, down]
+        cur = np.zeros_like(zd)
+        for k in range(_downward_start(kmax, float(np.max(mr[down]))), 0, -1):
+            cur = (ed - zd * cur) / k
+            if k - 1 <= kmax:
+                high[k - 1] = np.where(k - 1 > kd, cur, high[k - 1])
+        vals[:, down] = high
+    rows[:, recur] = vals
+
+    if anchored:
+        rows[:, ~direct] *= np.exp(-flat[~direct])
+        zb = flat[direct]
+        rows[0, direct] = cur = (1.0 - np.exp(-zb)) / zb
+        for k in range(1, kmax + 1):
+            rows[k, direct] = cur = (1.0 - k * cur) / zb
+    return rows.reshape((kmax + 1,) + z.shape)

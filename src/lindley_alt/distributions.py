@@ -52,6 +52,25 @@ DENSITY_TOL = 1e-12
 #: Grid resolution for the monotonicity check.
 _VALIDATION_GRID = 4096
 
+#: Cells of the sampler's uniform grid (the law's breakpoints are added).
+_SAMPLER_CELLS = 1 << 12
+
+#: Equal deviate buckets of the sampler's guide table.
+_GUIDE_BUCKETS = 1 << 14
+
+#: Draws the sampler handles per pass; its temporaries stay at 0.5 MB each.
+_SAMPLER_BLOCK = 1 << 16
+
+#: Newton stops on a draw once its step (or its bracket) is below this.
+_NEWTON_TOL = 1e-14
+
+#: Iteration cap. Bisection alone takes a 2^-12 cell below the tolerance in
+#: 35 steps, so only a pathological draw gets here.
+_NEWTON_ITERS = 64
+
+#: Veltkamp's splitting constant 2^27 + 1.
+_SPLITTER = 134217729.0
+
 
 @dataclass(frozen=True)
 class ExponentialService:
@@ -396,26 +415,177 @@ def prob_B_greater_A(dist, svc: ExponentialService) -> float:
 
 
 def inverse_cdf(dist, u: float) -> float:
-    """Smallest x with F(x) >= u, by bisection to about 2e-13.
+    """The x with F(x) = u, by safeguarded Newton (see :func:`inverse_cdf_array`).
 
-    The atom at 0 maps the whole deviate range [0, atom] to 0.
+    The atom at 0 maps the whole deviate range [0, atom] to 0, and u = 1
+    maps to 1.
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("deviate must lie in [0, 1]")
     return float(inverse_cdf_array(dist, np.array([float(u)]))[0])
 
 
+def _split(a):
+    """Veltkamp's split of a into hi + lo, each of at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _compensated_horner(hi, lo, x: np.ndarray):
+    """sum_i (hi[i] + lo[i]) * x^i as an unevaluated sum (value, correction).
+
+    Horner's rule that carries the rounding error of every product (Dekker's
+    two-product) and every sum (Knuth's two-sum) in a second polynomial, so
+    value + correction is as accurate as Horner run in twice the working
+    precision (Graillat, Langlois & Louvet, 2005). ``lo`` holds the low
+    parts of coefficients that are themselves rounded.
+    """
+    xh, xl = _split(x)
+    val = np.full_like(x, hi[-1])
+    err = np.full_like(x, lo[-1])
+    for a, b in zip(hi[-2::-1], lo[-2::-1]):
+        prod = val * x
+        vh, vl = _split(val)
+        prod_err = ((vh * xh - prod) + vh * xl + vl * xh) + vl * xl
+        val = prod + a
+        z = val - prod
+        sum_err = (prod - (val - z)) + (a - z)
+        err = err * x + ((prod_err + sum_err) + b)
+    return val, err
+
+
+def _inverse_table(dist):
+    """The sampler's grid, local Taylor coefficients of F there, and guide.
+
+    The grid is uniform with ``_SAMPLER_CELLS`` cells plus the law's
+    breakpoints, so every cell lies in one polynomial piece. Row k of the
+    table holds F^(k)(x_j) / k! of the piece starting at or before x_j,
+    computed by compensated Horner from the exact coefficients c_i C(i, k);
+    row 0, the CDF values that bracket each draw, keeps its correction term
+    in ``low`` and ends at F(1) = 1. Across a cell of width 2^-12 the local
+    terms shrink fast, so F(x_j + s) from this table is good to about an ulp
+    even for fits whose monomial coefficients are large and cancel, where
+    plain Horner loses up to 5e-12 at order 20. The guide holds
+    searchsorted(row 0, k / m) at the edges of m equal deviate buckets.
+    """
+    segments = dist.segments()
+    starts = [a for a, _, _ in segments]
+    grid = np.union1d(np.linspace(0.0, 1.0, _SAMPLER_CELLS + 1), starts)
+    piece = np.searchsorted(starts, grid, side="right") - 1
+    taylor = np.zeros((max(len(c) for _, _, c in segments), grid.size))
+    low = np.zeros(grid.size)
+    for j, (_, _, coeffs) in enumerate(segments):
+        at = piece == j
+        for k in range(len(coeffs)):
+            exact = [Fraction(c) * math.comb(i, k) for i, c in enumerate(coeffs) if i >= k]
+            hi = [float(v) for v in exact]
+            lo = [float(v - Fraction(h)) for v, h in zip(exact, hi)]
+            val, err = _compensated_horner(hi, lo, grid[at])
+            if k:
+                taylor[k, at] = val + err
+            else:
+                taylor[0, at], low[at] = val, err
+    taylor[0, -1], low[-1] = 1.0, 0.0
+    guide = np.searchsorted(taylor[0], np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
+    return grid, taylor, low, guide
+
+
+def _find_cells(values: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(values, u)`` for deviates u in [0, 1), via the guide.
+
+    A draw's answer lies between its bucket's two guide entries; a binary
+    search over the few draws whose bucket holds several candidates settles
+    it. (A plain searchsorted of random deviates spends ~120 ns a draw on
+    mispredicted branches.) Each answer i keeps values[i-1] < u <= values[i]
+    even where rounding leaves ``values`` a hair short of monotone.
+    """
+    m = guide.size - 1
+    j = (u * m).astype(np.intp)
+    lo, hi = guide[j], guide[j + 1]
+    act = np.flatnonzero(lo < hi)
+    a_lo, a_hi, a_u = lo[act], hi[act], u[act]
+    while act.size:
+        mid = (a_lo + a_hi) >> 1
+        right = values[mid] < a_u
+        a_lo = np.where(right, mid + 1, a_lo)
+        a_hi = np.where(right, a_hi, mid)
+        lo[act] = a_lo
+        more = a_lo < a_hi
+        act, a_lo, a_hi, a_u = act[more], a_lo[more], a_hi[more], a_u[more]
+    return lo
+
+
+def _newton_block(table, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF values of deviates in (atom, 1), by safeguarded Newton.
+
+    Each draw starts from linear interpolation inside its grid cell
+    [x_j, x_j + w] and iterates on the offset s in [0, w] with
+    F(x_j + s) - u = (F(x_j) - u) + s * (g_1 + g_2 s + ...), the cell's
+    local Taylor form. The Newton step is taken while it stays inside the
+    root's bracket, which every residual's sign narrows; otherwise the
+    bracket is bisected. A draw is done once its Newton step drops below
+    ``_NEWTON_TOL`` or its bracket below that width.
+    """
+    grid, taylor, low, guide = table
+    cell = _find_cells(taylor[0], guide, u) - 1
+    start = taylor[0][cell]
+    width = grid[cell + 1] - grid[cell]
+    s = (u - start) / (taylor[0][cell + 1] - start) * width
+    base = (start - u) + low[cell]  # F(x_j) - u
+    lo, hi = np.zeros_like(s), width
+    out = np.empty_like(s)
+    todo = np.arange(s.size)
+    deg = taylor.shape[0] - 1
+    for _ in range(_NEWTON_ITERS):
+        val, der = taylor[deg][cell], np.zeros_like(s)
+        for k in range(deg - 1, 0, -1):
+            der = der * s + val
+            val = val * s + taylor[k][cell]
+        der = der * s + val
+        resid = base + s * val
+        # s becomes the bracket's low end where resid < 0 and its high end
+        # otherwise; an infinity of the opposite sign picks, without branches
+        flip = np.copysign(np.inf, -resid)
+        lo = np.maximum(lo, np.minimum(s, flip))
+        hi = np.minimum(hi, np.maximum(s, flip))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = resid / der
+        new = s - step
+        newton = (new >= lo) & (new <= hi)  # False for a NaN step too
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        done = (newton & (np.abs(step) < _NEWTON_TOL)) | (hi - lo < _NEWTON_TOL)
+        out[todo[done]] = grid[cell[done]] + new[done]
+        keep = np.flatnonzero(~done)
+        if not keep.size:
+            return out
+        todo, cell, s, lo, hi, base = (
+            todo[keep], cell[keep], new[keep], lo[keep], hi[keep], base[keep]
+        )
+    out[todo] = grid[cell] + s
+    return out
+
+
 def inverse_cdf_array(dist, u: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`inverse_cdf` for Monte Carlo draws."""
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(42):  # halves the bracket to 2^-42 ~ 2e-13
-        mid = 0.5 * (lo + hi)
-        ge = eval_cdf(dist, mid) >= u
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    out = np.where(u >= 1.0, 1.0, 0.5 * (lo + hi))
-    return np.where(u <= dist.atom, 0.0, out)
+    """Vectorized :func:`inverse_cdf` for Monte Carlo draws.
+
+    F is tabulated once per call (:func:`_inverse_table`); each draw then
+    finds its cell through a guide table and solves F(x) = u there by
+    safeguarded Newton on the law's own polynomial piece, to about an ulp
+    of x. Draws are handled ``_SAMPLER_BLOCK`` at a time, which keeps the
+    temporaries small. Deviates at or below the atom map to 0, deviates at
+    or above 1 to 1.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    out = np.where(flat >= 1.0, 1.0, 0.0)
+    inside = np.flatnonzero((flat > dist.atom) & (flat < 1.0))
+    if inside.size:
+        table = _inverse_table(dist)
+        for first in range(0, inside.size, _SAMPLER_BLOCK):
+            at = inside[first : first + _SAMPLER_BLOCK]
+            out[at] = _newton_block(table, flat[at])
+    return out.reshape(u.shape)
 
 
 def sample(dist, rng: np.random.Generator) -> float:

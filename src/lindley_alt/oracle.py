@@ -8,7 +8,8 @@ them usable as oracles:
   H(u) = E[F_B(u + A)] — on a uniform grid, with the kernel H in closed
   form and the Riemann–Stieltjes sum evaluated as a numpy rfft correlation.
 * :func:`simulate` runs the recursion W <- max(0, B - A - W) directly with
-  a counter-based generator (Philox), reproducible per seed.
+  a counter-based generator (Philox), reproducible per seed, as a blocked
+  scan that reproduces the step-by-step loop bit for bit.
 
 The map contracts at rate P[B > A] < 1, so the iteration converges
 geometrically from any start; starting from F = 1 (W degenerate at zero)
@@ -54,6 +55,9 @@ MIN_SIMULATION_STEPS = 10**4
 
 #: Recursion steps simulated per chunk (bounds memory at ~24 MB/chunk).
 _CHUNK = 1 << 20
+
+#: Steps per block of the recursion's blocked scan.
+_SCAN_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,27 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
+    """Real FFT of the kernel extended by 1 beyond the unit interval.
+
+    Any length >= 2g + 1 keeps :func:`_apply_spectrum`'s slice free of
+    wrap-around. At the length scipy's fftconvolve picks for the full
+    (3g + 1)-entry convolution the sums round as that reference's do, so
+    frozen oracle values hold bitwise.
+    """
+    g = kernel.size - 1
+    return np.fft.rfft(np.concatenate([kernel, np.ones(g)]), _fast_len(3 * g + 1))
+
+
+def _apply_spectrum(spectrum: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """:func:`apply_map` with the kernel's transform already taken."""
+    g = values.size - 1
+    n = _fast_len(3 * g + 1)
+    w = stieltjes_weights(values)
+    out = np.fft.irfft(np.fft.rfft(w[::-1], n) * spectrum, n)[g : 2 * g + 1]
+    return np.minimum(np.maximum.accumulate(np.maximum(out, 0.0)), 1.0)
+
+
 def apply_map(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """One application of the contraction map to a grid CDF.
 
@@ -185,31 +210,24 @@ def apply_map(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     output is re-monotonized and clipped to [0, 1], absorbing FFT roundoff
     (~1e-15).
     """
-    g = values.size - 1
-    extended = np.concatenate([kernel, np.ones(g)])
-    w = stieltjes_weights(values)
-    # Any length >= 2g + 1 keeps the slice free of wrap-around. At the length
-    # scipy's fftconvolve picks for the full (3g + 1)-entry convolution the
-    # sums round as that reference's do, so frozen oracle values hold bitwise.
-    n = _fast_len(3 * g + 1)
-    out = np.fft.irfft(np.fft.rfft(w[::-1], n) * np.fft.rfft(extended, n), n)[g : 2 * g + 1]
-    return np.minimum(np.maximum.accumulate(np.maximum(out, 0.0)), 1.0)
+    return _apply_spectrum(_kernel_spectrum(kernel), values)
 
 
 def fixed_point_solve(problem: FixedPointProblem) -> tuple[GridCdf, int]:
     """Iterate the contraction map to its fixed point on the grid.
 
     Starts from F = 1 and stops when the sup change drops below the
-    problem's tolerance. The guaranteed geometric rate P[B > A] bounds the
-    iteration count a priori; exceeding that bound (plus slack) raises
-    :class:`NonConvergence`.
+    problem's tolerance. The kernel is transformed once per solve. The
+    guaranteed geometric rate P[B > A] bounds the iteration count a priori;
+    exceeding that bound (plus slack) raises :class:`NonConvergence`.
     """
     contraction = prob_B_greater_A(problem.dist, problem.service)
     cap = math.ceil(math.log(problem.tolerance) / math.log(contraction)) + 10
     kernel = precompute_kernel(problem.dist, problem.service, problem.grid_size)
+    spectrum = _kernel_spectrum(kernel)
     values = np.ones(problem.grid_size + 1)
     for iteration in range(1, cap + 1):
-        updated = apply_map(kernel, values)
+        updated = _apply_spectrum(spectrum, values)
         change = float(np.max(np.abs(updated - values)))
         values = updated
         if change < problem.tolerance:
@@ -258,6 +276,58 @@ class SimulationResult:
         return np.searchsorted(self.samples, x, side="right") / self.samples.size
 
 
+def _recurse_loop(x: np.ndarray, wait: float, path: np.ndarray) -> float:
+    """The recursion w <- max(0, x[i] - w) from w = wait, one step at a time.
+
+    Writes each state to path[i] and returns the last one.
+    """
+    for i in range(x.size):
+        wait = x[i] - wait
+        if wait < 0.0:
+            wait = 0.0
+        path[i] = wait
+    return wait
+
+
+def _recurse(x: np.ndarray, wait: float, path: np.ndarray) -> float:
+    """:func:`_recurse_loop` as a blocked scan, bit for bit; returns the end state.
+
+    The shape is Blelloch's blocked scan (*Prefix sums and their
+    applications*, CMU-CS-90-190, 1990): summarize each block, carry the
+    summaries across blocks in sequence, then rerun each block from its
+    carried start. The step w -> max(0, x - w) is monotone nonincreasing in
+    w, in floating point too, so trajectories started at 0 and +inf bound
+    the one from any start. Pass 1 runs both bounds through all blocks of
+    ``_SCAN_BLOCK`` steps at once; where they meet, the block's end state is
+    exact whatever its start. Pass 2 carries the end states from block to
+    block, running any block whose bounds never met from its exact start.
+    Pass 3 reruns every block from its exact start, writing ``path`` in
+    place. Every state comes from the loop's own arithmetic, never from
+    composed affine maps, which would round differently.
+    """
+    blocks = x.size // _SCAN_BLOCK
+    full = blocks * _SCAN_BLOCK
+    if blocks:
+        xb = x[:full].reshape(blocks, _SCAN_BLOCK)
+        lo, hi = np.zeros(blocks), np.full(blocks, np.inf)
+        for t in range(_SCAN_BLOCK):
+            lo, hi = np.maximum(xb[:, t] - hi, 0.0), np.maximum(xb[:, t] - lo, 0.0)
+        starts = np.empty(blocks)
+        starts[0] = wait
+        starts[1:] = lo[:-1]
+        discard = np.empty(_SCAN_BLOCK)
+        for b in np.flatnonzero(lo[:-1] != hi[:-1]):
+            starts[b + 1] = _recurse_loop(xb[b], starts[b], discard)
+        pb = path[:full].reshape(blocks, _SCAN_BLOCK)
+        w = starts
+        for t in range(_SCAN_BLOCK):
+            np.subtract(xb[:, t], w, out=w)
+            np.maximum(w, 0.0, out=w)
+            pb[:, t] = w
+        wait = float(w[-1])
+    return _recurse_loop(x[full:], wait, path[full:])
+
+
 def simulate(
     dist,
     svc: ExponentialService,
@@ -268,9 +338,10 @@ def simulate(
     """Drive W <- max(0, B - A - W) for n post-warmup steps.
 
     Draws are vectorized in chunks (inverse-CDF preparation times, inverse
-    exponential service times); the recursion itself is inherently
-    sequential. One Philox stream, keyed by the seed, feeds every draw, so
-    the samples are deterministic per seed.
+    exponential service times), and so is the recursion: :func:`_recurse`
+    runs it as a blocked scan whose path equals the step-by-step loop's bit
+    for bit. One Philox stream, keyed by the seed, feeds every draw, so the
+    samples are deterministic per seed.
     """
     if n < MIN_SIMULATION_STEPS:
         raise ValueError(
@@ -285,13 +356,9 @@ def simulate(
     wait = 0.0
     for start in range(0, path.size, _CHUNK):
         block = min(_CHUNK, path.size - start)
-        prep = inverse_cdf_array(dist, rng.random(size=block))
-        service = rng.exponential(scale=1.0 / svc.rate, size=block)
-        for i in range(block):
-            wait = prep[i] - service[i] - wait
-            if wait < 0.0:
-                wait = 0.0
-            path[start + i] = wait
+        x = inverse_cdf_array(dist, rng.random(size=block))
+        x -= rng.exponential(scale=1.0 / svc.rate, size=block)
+        wait = _recurse(x, wait, path[start : start + block])
     samples = np.sort(path[warmup:])
     zeros = int(np.searchsorted(samples, 0.0, side="right"))
     return SimulationResult(

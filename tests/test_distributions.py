@@ -2,12 +2,15 @@
 
 import json
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import random_polynomial_cdf
+from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
     ExponentialService,
     PiecewisePolynomialCdf,
@@ -207,6 +210,35 @@ class TestSampling:
             assert xi == pytest.approx(exact, abs=1e-12)
             assert inverse_cdf(triangular, float(ui)) == pytest.approx(exact, abs=1e-12)
 
+    def test_matches_mpmath_inverse(self, triangular):
+        # Bernstein fits of orders 1-20 (monomial coefficients up to 4e4 at
+        # order 20, where plain Horner loses 5e-12), the triangular law, a
+        # cubic whose density vanishes at 1/2 and a law with an atom
+        laws = [bernstein_fit(triangular, n) for n in range(1, 21)]
+        laws += [triangular, validate([0.0, 3.0, -6.0, 4.0]), validate([0.25, 0.0, 0.75])]
+        rng = np.random.default_rng(17)
+        for dist in laws:
+            atom = dist.atom
+            u = np.concatenate(
+                [
+                    rng.random(12),
+                    np.linspace(0.0, 1.0, 9),
+                    [0.5 + 1e-10, 0.5 - 1e-10, 1.0 - 1e-15],
+                    [atom, atom + 1e-12, max(atom - 1e-12, 0.0)],
+                ]
+            )
+            x = inverse_cdf_array(dist, u)
+            with mpmath.workdps(40):
+                law = _mp_pieces(dist)
+                for ui, xi in zip(u.tolist(), x.tolist()):
+                    if ui <= atom or ui >= 1.0:
+                        assert xi == (1.0 if ui >= 1.0 else 0.0)
+                        continue
+                    assert abs(_mp_eval(law, mpmath.mpf(xi)) - ui) <= 1e-14
+                    root, slope = _mp_inverse(law, ui)
+                    if slope > 1e-6:
+                        assert abs(xi - root) <= 2e-13
+
     def test_sample_is_in_support(self, triangular):
         rng = np.random.default_rng(5)
         draws = [sample(triangular, rng) for _ in range(100)]
@@ -220,6 +252,40 @@ class TestSampling:
         empirical = np.searchsorted(np.sort(draws), xs, side="right") / draws.size
         exact = eval_cdf(dist, xs)
         assert float(np.max(np.abs(empirical - exact))) < 0.005
+
+
+def _mp_pieces(dist):
+    """(breakpoints, per-piece [F, f] coefficients, highest power first) in mpmath."""
+    if isinstance(dist, PolynomialCdf):
+        breaks, polys = (0.0, 1.0), (dist.coeffs,)
+    else:
+        breaks, polys = dist.breakpoints, dist.polys
+    pieces = []
+    for poly in polys:
+        coeffs = [mpmath.mpf(c) for c in poly]
+        slope = [i * c for i, c in enumerate(coeffs)][1:]
+        pieces.append((coeffs[::-1], slope[::-1]))
+    return breaks, pieces
+
+
+def _mp_eval(law, x, derivative=0):
+    """F(x), or its derivative, from :func:`_mp_pieces` at the working precision."""
+    breaks, pieces = law
+    piece = min(max(bisect_right(breaks, float(x)) - 1, 0), len(pieces) - 1)
+    return mpmath.polyval(pieces[piece][derivative], x)
+
+
+def _mp_inverse(law, u):
+    """Root of F(x) = u by 60 bisections at 40 digits, and F's slope there."""
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _mp_eval(law, mid) >= u:
+            hi = mid
+        else:
+            lo = mid
+    root = (lo + hi) / 2
+    return float(root), float(_mp_eval(law, root, derivative=1))
 
 
 class TestParseSpec:

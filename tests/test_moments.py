@@ -13,6 +13,7 @@ import pytest
 
 from lindley_alt._moments import (
     anchored_moment_table,
+    complex_moment_grid,
     exp_weighted_moment,
     moment_grid,
     moment_table,
@@ -130,3 +131,29 @@ class TestGrid:
     def test_rejects_positive_arguments(self):
         with pytest.raises(ValueError):
             moment_grid(3, np.array([-1.0, 0.5]))
+
+
+class TestComplexGrid:
+    # every regime: the Taylor disc, upward, downward and mixed orders, the
+    # imaginary axis, and anchored arguments past Re z = 700
+    Z = np.array(
+        [0.0, 3e-5 - 2e-5j, 1e-4, 0.37 + 0.2j, -2.0 + 5.0j, 4.5, 12.0 - 30.0j,
+         -240.0 + 1.0j, 30.0j, 64.2, 650.0 + 80.0j]
+    )
+
+    @pytest.mark.parametrize("kmax", [0, 1, 6, 40])
+    def test_matches_scalar_tables(self, kmax):
+        grid = complex_moment_grid(kmax, self.Z)
+        assert grid.shape == (kmax + 1, self.Z.size)
+        for j, zj in enumerate(self.Z):
+            want = np.asarray(moment_table(kmax, complex(zj)), dtype=complex)
+            assert np.max(np.abs(grid[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kmax", [0, 1, 6, 40])
+    def test_matches_scalar_anchored_tables(self, kmax):
+        z = np.concatenate([self.Z[self.Z.real >= 0.0], [701.0 + 3.0j, 1e4]])
+        grid = complex_moment_grid(kmax, z.reshape(1, -1), anchored=True)
+        assert grid.shape == (kmax + 1, 1, z.size)
+        for j, zj in enumerate(z):
+            want = np.asarray(anchored_moment_table(kmax, complex(zj)), dtype=complex)
+            assert np.max(np.abs(grid[:, 0, j] - want)) <= 1e-14 * np.max(np.abs(want))

@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lindley_alt import oracle
+from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
     ExponentialService,
     eval_cdf,
+    inverse_cdf_array,
     prob_B_greater_A,
     triangular_cdf,
     uniform_cdf,
@@ -127,6 +130,18 @@ class TestFixedPoint:
                 FixedPointProblem(uniform, svc1, grid_size=256, tolerance=1e-30)
             )
 
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 4.0, 17.0])
+    def test_solve_matches_per_iteration_map_bitwise(self, triangular, mu):
+        # the solve transforms the kernel once; the public map, once per call
+        svc = ExponentialService(mu)
+        problem = FixedPointProblem(triangular, svc)
+        grid, iterations = fixed_point_solve(problem)
+        kernel = precompute_kernel(triangular, svc, problem.grid_size)
+        values = np.ones(problem.grid_size + 1)
+        for _ in range(iterations):
+            values = apply_map(kernel, values)
+        assert np.array_equal(grid.values, values)
+
     def test_problem_validation(self, svc1, uniform):
         with pytest.raises(ValueError):
             FixedPointProblem(uniform, svc1, grid_size=1000)  # not a power of two
@@ -219,12 +234,16 @@ class TestSimulation:
         assert not np.array_equal(one.samples, other.samples)
 
     def test_stream_frozen(self, svc1, uniform):
-        # recorded from the first child stream of SeedSequence(11); the sum
-        # gets a relative slack for numpy's platform-dependent summation order
+        # recorded from the first child stream of SeedSequence(11) by an
+        # independent reference: for the uniform law F^-1(u) = u, so a plain
+        # Python loop W <- max(0, u - a - W) over the same Philox draws
+        # (21,000 deviates, then 21,000 exponentials) gives the exact path.
+        # The sum gets a relative slack for numpy's platform-dependent
+        # summation order.
         result = simulate(uniform, svc1, 2 * 10**4, seed=11)
         assert result.samples[0] == 0.0
-        assert result.samples[-1] == 0.9743994358364682
-        assert float(result.samples.sum()) == pytest.approx(2189.476892003912, rel=1e-13)
+        assert result.samples[-1] == 0.9743994358364003
+        assert float(result.samples.sum()) == pytest.approx(2189.47689200391, rel=1e-13)
 
     def test_thread_variable_has_no_effect(self, monkeypatch, svc1, uniform):
         monkeypatch.delenv("LINDLEY_ALT_THREADS", raising=False)
@@ -241,6 +260,36 @@ class TestSimulation:
     def test_empirical_cdf_at_zero_is_the_atom_share(self, svc1, uniform):
         result = simulate(uniform, svc1, 10**4, seed=2)
         assert result.empirical_cdf(0.0) == result.pi0_hat
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.25, 4.0, 1e3])
+    def test_path_matches_plain_loop(self, monkeypatch, triangular, mu):
+        # 3,000-step chunks of five 512-step blocks and a 440-step tail, so
+        # the 12,000 steps cross block, tail and chunk boundaries
+        monkeypatch.setattr(oracle, "_CHUNK", 3000)
+        dist = bernstein_fit(triangular, 5)
+        svc = ExponentialService(mu)
+        result = simulate(dist, svc, 11_000, warmup=1000, seed=5)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(0,))))
+        path, wait = [], 0.0
+        for _ in range(4):
+            prep = inverse_cdf_array(dist, rng.random(size=3000))
+            service = rng.exponential(scale=1.0 / mu, size=3000)
+            for b, a in zip(prep.tolist(), service.tolist()):
+                wait = max(0.0, b - a - wait)
+                path.append(wait)
+        assert np.array_equal(result.samples, np.sort(path[1000:]))
+
+    def test_scan_runs_unmerged_blocks_from_their_exact_start(self):
+        # x = 1 alternates the state between 1 and 0 from any start in
+        # [0, 1], so the bounding trajectories of a block never meet
+        rng = np.random.default_rng(8)
+        x = np.concatenate([np.ones(1500), rng.random(1200) - rng.exponential(0.5, 1200)])
+        for start in (0.0, 0.25):
+            want = np.empty_like(x)
+            got = np.empty_like(x)
+            end = oracle._recurse_loop(x, start, want)
+            assert oracle._recurse(x, start, got) == end
+            assert np.array_equal(got, want)
 
     def test_too_few_steps_rejected(self, svc1, uniform):
         with pytest.raises(ValueError):

@@ -8,13 +8,25 @@ only on the true solution) and the fixed-point oracle (separate module,
 tested against the solver in test_oracle.py and the acceptance suite).
 """
 
+import cmath
 import math
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
 from conftest import random_polynomial_cdf
-from lindley_alt.distributions import ExponentialService, PolynomialCdf, validate
+from lindley_alt._exact import exact_char, exact_nu
+from lindley_alt._moments import anchored_moment_table, moment_table
+from lindley_alt._numeric import DOUBLE
+from lindley_alt.bernstein import bernstein_fit
+from lindley_alt.distributions import (
+    ExponentialService,
+    PolynomialCdf,
+    triangular_cdf,
+    validate,
+)
 from lindley_alt.errors import (
     IllConditioned,
     InputError,
@@ -22,6 +34,8 @@ from lindley_alt.errors import (
     RepeatedRoot,
 )
 from lindley_alt.solver import (
+    _cdf_terms,
+    _mode_terms,
     characteristic_polynomial,
     eval_waiting_cdf,
     eval_waiting_density,
@@ -207,6 +221,132 @@ class TestResidualOracle:
             assert float(np.max(np.abs(resid))) < 1e-7
             assert eval_waiting_cdf(sol, 1.0) == pytest.approx(1.0, abs=1e-10)
             assert 0.0 < sol.pi0 < 1.0
+
+
+def _residual_loop(sol, prep, svc, points):
+    """The per-point, per-mode residual the vectorized one replaced."""
+    c = prep.coeffs
+    n = prep.degree
+    mu = svc.rate
+    total = complex(_cdf_terms(sol, np.ones(1))[0]) - sol.pi0  # int_0^1 f(y) dy
+    worst = 0.0
+    for x in np.atleast_1d(np.asarray(points, dtype=float)):
+        b = 1.0 - x
+        fx = complex(_mode_terms(sol, np.array([x]))[0])
+        capf = complex(_cdf_terms(sol, np.array([x]))[0])
+        fb = float(np.polyval(list(reversed(c)), x))
+        partial = np.zeros(n + 1, dtype=complex)  # int_0^b y^k f(y) dy
+        for m in sol.modes:
+            if b <= 0.0:
+                break
+            r = m.root
+            plus = anchored_moment_table(n, r * b)
+            minus = moment_table(n, -r * b)
+            shift = cmath.exp(r * (b - 1.0))
+            bpow = b
+            for k in range(n + 1):
+                partial[k] += m.strength * bpow * (
+                    m.head * shift * plus[k] + m.tail * minus[k]
+                )
+                bpow *= b
+        tail = total - partial[0]
+        double = complex(0.0)
+        for i in range(n + 1):
+            if c[i] == 0.0:
+                continue
+            for k in range(i + 1):
+                double += c[i] * comb(i, k) * x ** (i - k) * partial[k]
+        resid = fx - mu * capf + mu * sol.pi0 * fb + mu * double + mu * tail
+        worst = max(worst, abs(resid))
+    return worst
+
+
+def _residual_scale(sol, prep, svc):
+    """Size of the terms the residual sums: every mode term is at most
+    |strength| * max(|head|, |tail|) on [0, 1], the binomial weights carry
+    the coefficients, and mu multiplies all but the density."""
+    modes = sum(abs(m.strength) * max(abs(m.head), abs(m.tail)) for m in sol.modes)
+    return (1.0 + svc.rate) * modes * max(1.0, max(abs(c) for c in prep.coeffs))
+
+
+class TestVectorizedResidual:
+    PTS = np.linspace(0.0, 1.0, 101)  # both ends: b = 1 and b = 0
+
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 4.0])
+    def test_matches_loop_double_path(self, mu):
+        svc = ExponentialService(mu)
+        for order in range(1, 13):
+            fit = bernstein_fit(triangular_cdf(), order)
+            sol = solve(fit, svc)
+            want = _residual_loop(sol, fit, svc, self.PTS)
+            got = integral_equation_residual(sol, fit, svc, self.PTS)
+            assert abs(got - want) <= 1e-13 * _residual_scale(sol, fit, svc)
+
+    def test_matches_loop_extended_path(self):
+        fit = bernstein_fit(triangular_cdf(), 16)
+        svc = ExponentialService(1.0)
+        sol = solve(fit, svc)
+        want = _residual_loop(sol, fit, svc, self.PTS)
+        got = integral_equation_residual(sol, fit, svc, self.PTS)
+        assert abs(got - want) <= 1e-13 * _residual_scale(sol, fit, svc)
+
+    def test_reproduces_double_path_failure_at_large_rate(self):
+        # order 5 at mu = 1000: the double path's known defect (verify
+        # prints 8.293e-02 and exits 3); the residual must keep showing it
+        fit = bernstein_fit(triangular_cdf(), 5)
+        svc = ExponentialService(1000.0)
+        sol = solve(fit, svc)
+        pts = np.linspace(1.0 / 1000, 1.0, 1000)
+        want = _residual_loop(sol, fit, svc, pts)
+        got = integral_equation_residual(sol, fit, svc, pts)
+        assert abs(got - want) <= 1e-13 * _residual_scale(sol, fit, svc)
+        assert f"{got:.3e}" == "8.293e-02"
+
+
+def _exact_nu_fractions(coeffs, rate):
+    """exact_nu by per-operation Fraction arithmetic, as it was written."""
+    c = [Fraction(v) for v in coeffs]
+    n = len(c) - 1
+    mu = Fraction(rate)
+    out = []
+    for m in range(n + 1):
+        gap = n - m
+        total = Fraction(0)
+        for i in range(m + 1):
+            total += Fraction(math.factorial(i + gap), math.factorial(i)) * c[i + gap]
+        out.append(mu * total)
+    out[n] = mu
+    return out
+
+
+def _exact_char_fractions(nu_fr, rate):
+    """exact_char by per-operation Fraction arithmetic, as it was written."""
+    n = len(nu_fr) - 1
+    mu = Fraction(rate)
+    coeffs = [Fraction(0)] * (2 * n + 3)
+    coeffs[2 * n + 2] += 1
+    coeffs[2 * n] -= mu * mu
+    sign = -1 if n % 2 else 1
+    for i in range(n):
+        for j in range(n):
+            term = nu_fr[i] * nu_fr[j]
+            if j % 2:
+                term = -term
+            coeffs[i + j] += sign * term
+    return coeffs
+
+
+def test_integer_exact_arithmetic_matches_fractions():
+    laws = [bernstein_fit(triangular_cdf(), n) for n in range(1, 41)]
+    rng = np.random.default_rng(40)
+    laws += [random_polynomial_cdf(rng, max_degree=20) for _ in range(40)]
+    for law in laws:
+        for mu in (0.01, 1.0, 1000.0):
+            nu = exact_nu(law.coeffs, mu)
+            assert nu == _exact_nu_fractions(law.coeffs, mu)
+            # the exact weights (extended path) and their doubles (double path)
+            for weights in (nu, DOUBLE.exact(nu)):
+                assert exact_char(weights, mu) == _exact_char_fractions(weights, mu)
 
 
 class TestConditioning:
