@@ -134,25 +134,6 @@ def exp_weighted_moment(k: int, r: complex) -> complex:
     return _moments(k, complex(r))[k]
 
 
-def moment_table(kmax: int, r: complex) -> list[complex]:
-    """All of I_0(r)..I_kmax(r) in one pass (shares the recurrence work)."""
-    if not 0 <= kmax <= MAX_ORDER:
-        raise ValueError(f"moment order must be in [0, {MAX_ORDER}], got {kmax}")
-    return _moments(kmax, complex(r))
-
-
-def anchored_moment_table(kmax: int, r: complex) -> list[complex]:
-    """All of integral_0^1 y^k * exp(r*(y-1)) dy for k = 0..kmax.
-
-    Equals ``exp(-r) * I_k(r)`` but stays finite for any ``Re r >= 0``; on
-    [0, 1] the integrand's magnitude never exceeds 1, so neither does the
-    result. Used to build mode quantities anchored at x = 1.
-    """
-    if not 0 <= kmax <= MAX_ORDER:
-        raise ValueError(f"moment order must be in [0, {MAX_ORDER}], got {kmax}")
-    return _anchored_moments(kmax, complex(r))
-
-
 def moment_grid(kmax: int, z: np.ndarray) -> np.ndarray:
     """Vectorized I_k over an array of nonpositive real arguments.
 

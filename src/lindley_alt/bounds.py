@@ -28,13 +28,12 @@ appear because published comparisons have used the one-sided variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bernstein import FitReport, fit_report
-from .distributions import ExponentialService, prob_B_greater_A
+from .distributions import ExponentialService, _require_law, prob_B_greater_A
 from .errors import PostconditionViolation
 from .oracle import (
     DEFAULT_GRID,
@@ -131,20 +130,6 @@ class CertificationResult:
         return self.cdf_distance <= self.report.certified_bound + CERTIFICATE_SLACK
 
 
-def _contraction(dist, svc: ExponentialService) -> float:
-    """P[B > A] for a distribution object, or by quadrature for a callable."""
-    try:
-        return prob_B_greater_A(dist, svc)
-    except (TypeError, AttributeError):
-        pass
-    from scipy.integrate import quad
-
-    mu = svc.rate
-    # E[exp(-mu B)] = exp(-mu) + mu * int_0^1 F(t) exp(-mu t) dt  (by parts)
-    integral, _ = quad(lambda t: dist(t) * math.exp(-mu * t), 0.0, 1.0, limit=200)
-    return 1.0 - (math.exp(-mu) + mu * integral)
-
-
 def certify_approximation(
     dist,
     order: int,
@@ -162,8 +147,11 @@ def certify_approximation(
     the sup distances between the two. The measured CDF distance must
     respect the certified bound up to :data:`CERTIFICATE_SLACK`; a breach
     raises :class:`PostconditionViolation` since it would falsify either
-    the solver or the oracle.
+    the solver or the oracle. ``dist`` must be a polynomial or piecewise-
+    polynomial law; a plain callable raises :class:`InputError` before any
+    fit or solve work.
     """
+    _require_law(dist, "certify_approximation")
     fit = fit_report(dist, order)
     solution = solve(fit.fitted, svc)
     if reference is None:
@@ -174,7 +162,7 @@ def certify_approximation(
         raise ValueError(
             f"supplied reference has grid {reference.grid_size}, expected {grid_size}"
         )
-    contraction = _contraction(dist, svc)
+    contraction = prob_B_greater_A(dist, svc)
     epsilon = fit.sup_error
     certified = waiting_error_bound(epsilon, contraction)
     alternate_constant = 1.0 - contraction  # E[exp(-mu B)]

@@ -370,62 +370,69 @@ def cmd_figure1(config: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`InputError`, so they take the exit-2
+    JSON channel instead of argparse's usage text."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+#: add_argument options of every flag; the defaults live in RunConfig alone.
+_FLAGS = {
+    "dist": {"help": "distribution: uniform | triangular | JSON spec"},
+    "mu": {"type": float, "help": f"service rate (default {RunConfig.mu:g})"},
+    "order": {"type": int, "help": "Bernstein fit order"},
+    "grid": {"type": int, "help": f"fixed-point grid size, power of two (default {RunConfig.grid})"},
+    "samples": {"type": int, "help": f"Monte Carlo recursion steps (default {RunConfig.samples})"},
+    "seed": {"type": int, "help": f"Monte Carlo seed (default {RunConfig.seed})"},
+    "out": {"help": "output path (figure1: path prefix)"},
+    "format": {"dest": "fmt", "choices": ("json", "csv"),
+               "help": f"stdout payload format (default {RunConfig.fmt})"},
+}
+
+#: Each subcommand: its handler, help line, and the only flags it reads.
 _COMMANDS = {
-    "solve": cmd_solve,
-    "fit": cmd_fit,
-    "bound": cmd_bound,
-    "verify": cmd_verify,
-    "table1": cmd_table1,
-    "figure1": cmd_figure1,
+    "solve": (cmd_solve, "exact solution for a polynomial preparation CDF",
+              ("dist", "mu", "order", "out", "format")),
+    "fit": (cmd_fit, "Bernstein approximant of a distribution spec",
+            ("dist", "order", "out", "format")),
+    "bound": (cmd_bound, "certified approximation error bound",
+              ("dist", "mu", "order", "grid", "out")),
+    "verify": (cmd_verify, "cross-check a spec (or table1 CSV on stdin)",
+               ("dist", "mu", "order", "grid", "samples", "seed", "out")),
+    "table1": (cmd_table1, "benchmark table: triangular, mu=1, n=1,5,10", ("out",)),
+    "figure1": (cmd_figure1, "benchmark figure data as two CSV files", ("out",)),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lindley-alt",
         description="Exact waiting-time laws of W = max(0, B - A - W) "
         "with certified polynomial approximation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "exact solution for a polynomial preparation CDF"),
-        ("fit", "Bernstein approximant of a distribution spec"),
-        ("bound", "certified approximation error bound"),
-        ("verify", "cross-check a spec (or table1 CSV on stdin)"),
-        ("table1", "benchmark table: triangular, mu=1, n=1,5,10"),
-        ("figure1", "benchmark figure data as two CSV files"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dist", help="distribution: uniform | triangular | JSON spec")
-        p.add_argument("--mu", type=float, default=1.0, help="service rate (default 1)")
-        p.add_argument("--order", type=int, help="Bernstein fit order")
-        p.add_argument("--grid", type=int, default=_BENCH_GRID,
-                       help="fixed-point grid size, power of two (default 2^14)")
-        p.add_argument("--samples", type=int, default=10**6,
-                       help="Monte Carlo recursion steps (default 1e6)")
-        p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
-        p.add_argument("--out", help="output path (figure1: path prefix)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                       help="stdout payload format where applicable")
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            dist=args.dist,
-            mu=args.mu,
-            order=args.order,
-            grid=args.grid,
-            samples=args.samples,
-            seed=args.seed,
-            out=args.out,
-            fmt=args.fmt,
-        )
-        return _COMMANDS[args.command](config)
+        args = vars(build_parser().parse_args(argv))
+        # without --dist, verify re-checks table1 CSV and reads nothing else
+        extra = args.keys() - {"command", "out"}
+        if args["command"] == "verify" and "dist" not in args and extra:
+            raise InputError(
+                "verify without --dist reads table1 CSV on stdin and takes only "
+                f"--out; got {', '.join('--' + k for k in sorted(extra))}"
+            )
+        config = RunConfig(**args)
+        return _COMMANDS[config.command][0](config)
     except NotACdf as exc:
         _print_error(exc, extra={"violations": list(exc.violations)})
         return 2

@@ -24,8 +24,8 @@ from numbers import Rational
 
 import numpy as np
 
-from ._moments import moment_table
-from .errors import NotACdf
+from ._moments import _moments
+from .errors import InputError, NotACdf
 
 __all__ = [
     "ExponentialService",
@@ -382,7 +382,7 @@ def _shifted_weighted_integral(coeffs, a: float, b: float, rate: float) -> float
     if w <= 0.0:
         return 0.0
     jmax = len(coeffs) - 1
-    mom = moment_table(jmax, -rate * w)
+    mom = _moments(jmax, complex(-rate * w))
     total = 0.0
     for j, pj in enumerate(coeffs):
         if pj == 0.0:
@@ -400,18 +400,37 @@ def _shifted_weighted_integral(coeffs, a: float, b: float, rate: float) -> float
     return math.exp(-rate * a) * total
 
 
+def _require_law(dist, where: str, kinds=(PolynomialCdf, PiecewisePolynomialCdf)) -> None:
+    """Raise :class:`InputError` unless ``dist`` is one of the law types ``kinds``.
+
+    The solver, the oracles and the bounds read a law's pieces in closed
+    form; a plain callable has none and must be fitted first.
+    """
+    if not isinstance(dist, kinds):
+        raise InputError(
+            f"{where} needs a {' or '.join(k.__name__ for k in kinds)}, got "
+            f"{type(dist).__name__}; fit a plain CDF with bernstein_fit first"
+        )
+
+
+def _laplace(dist, rate: float) -> float:
+    """E[e^{-rate*B}] in closed form: the atom plus the density integrated
+    against the exponential weight by the stable moment recurrence."""
+    _require_law(dist, "prob_B_greater_A")
+    laplace = dist.atom
+    for a, b, coeffs in dist.segments():
+        laplace += _shifted_weighted_integral(_derivative_coeffs(coeffs), a, b, rate)
+    return laplace
+
+
 def prob_B_greater_A(dist, svc: ExponentialService) -> float:
     """P[B > A]: the chance preparation outlasts an exponential service.
 
-    Computed in closed form as 1 - E[e^{-rate*B}]; the expectation integrates
-    the density against the exponential weight by the stable moment
-    recurrence (no quadrature). Strictly inside (0, 1) for every valid,
-    nondegenerate distribution.
+    Computed in closed form as 1 - E[e^{-rate*B}] (no quadrature). Strictly
+    inside (0, 1) for every valid, nondegenerate distribution, though it
+    rounds to 1 once E[e^{-rate*B}] is below half an ulp of 1.
     """
-    laplace = dist.atom
-    for a, b, coeffs in dist.segments():
-        laplace += _shifted_weighted_integral(_derivative_coeffs(coeffs), a, b, svc.rate)
-    return 1.0 - laplace
+    return 1.0 - _laplace(dist, svc.rate)
 
 
 def inverse_cdf(dist, u: float) -> float:
@@ -576,6 +595,7 @@ def inverse_cdf_array(dist, u: np.ndarray) -> np.ndarray:
     temporaries small. Deviates at or below the atom map to 0, deviates at
     or above 1 to 1.
     """
+    _require_law(dist, "inverse_cdf")
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
     out = np.where(flat >= 1.0, 1.0, 0.0)

@@ -23,14 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    ExponentialService,
-    eval_cdf,
-    inverse_cdf_array,
-    prob_B_greater_A,
-)
+from .distributions import ExponentialService, _laplace, _require_law, inverse_cdf_array
 from ._moments import moment_grid
-from .errors import NonConvergence
+from .errors import InputError, NonConvergence
 
 __all__ = [
     "GridCdf",
@@ -105,6 +100,7 @@ class FixedPointProblem:
     tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
+        _require_law(self.dist, "FixedPointProblem")
         g = self.grid_size
         if g < 2 or g & (g - 1):
             raise ValueError(f"grid_size must be a power of two >= 2, got {g}")
@@ -218,11 +214,15 @@ def fixed_point_solve(problem: FixedPointProblem) -> tuple[GridCdf, int]:
 
     Starts from F = 1 and stops when the sup change drops below the
     problem's tolerance. The kernel is transformed once per solve. The
-    guaranteed geometric rate P[B > A] bounds the iteration count a priori;
-    exceeding that bound (plus slack) raises :class:`NonConvergence`.
+    geometric rate P[B > A] = 1 - L, L = E[e^{-mu B}], caps the iteration
+    count a priori at log(tol) / log1p(-L), finite even where P[B > A] rounds
+    to 1 (an L of 0.0 is an :class:`InputError`); exceeding the cap (plus
+    slack) raises :class:`NonConvergence`.
     """
-    contraction = prob_B_greater_A(problem.dist, problem.service)
-    cap = math.ceil(math.log(problem.tolerance) / math.log(contraction)) + 10
+    laplace = _laplace(problem.dist, problem.service.rate)
+    if laplace == 0.0:
+        raise InputError(f"E[exp(-mu B)] underflows to 0 at mu = {problem.service.rate!r}")
+    cap = math.ceil(math.log(problem.tolerance) / math.log1p(-laplace)) + 10
     kernel = precompute_kernel(problem.dist, problem.service, problem.grid_size)
     spectrum = _kernel_spectrum(kernel)
     values = np.ones(problem.grid_size + 1)
@@ -234,7 +234,7 @@ def fixed_point_solve(problem: FixedPointProblem) -> tuple[GridCdf, int]:
             return GridCdf(problem.grid_size, values), iteration
     raise NonConvergence(
         f"fixed point not reached in {cap} iterations "
-        f"(contraction {contraction:.4f}, tolerance {problem.tolerance:g})"
+        f"(contraction {1.0 - laplace:.4f}, tolerance {problem.tolerance:g})"
     )
 
 

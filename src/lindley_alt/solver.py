@@ -45,7 +45,7 @@ import numpy as np
 from ._exact import EXTENDED_DEGREE, exact_char, exact_nu, safe_float
 from ._moments import _anchored_moments, _moments, complex_moment_grid
 from ._numeric import DOUBLE, EXTENDED, context_of
-from .distributions import ExponentialService, PolynomialCdf
+from .distributions import ExponentialService, PolynomialCdf, _require_law
 from .errors import (
     ConvergenceFailure,
     DegenerateMode,
@@ -465,6 +465,7 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         When the equilibrated linear system's condition number exceeds 1e10;
         the solution is still returned, with the condition number recorded.
     """
+    _require_law(prep, "solve", (PolynomialCdf,))
     if prep.degree < 1:
         raise InputError("preparation CDF must have degree >= 1 (degenerate B == 0)")
     n = prep.degree

@@ -3,7 +3,8 @@
 The order-1 triangular certification numbers frozen below have independent
 anchors: epsilon = 1/8 is the closed-form sup distance of the uniform CDF
 from the triangular one (see test_bernstein), and the contraction constant
-P[B > A] = 1 - E[e^-B] is validated against quadrature in this module.
+P[B > A] = 1 - E[e^-B] is validated against quadrature in
+test_distributions::test_matches_quadrature.
 """
 
 import math
@@ -16,7 +17,6 @@ from lindley_alt.bounds import (
     CERTIFICATE_SLACK,
     BoundReport,
     CertificationResult,
-    _contraction,
     certify_approximation,
     waiting_error_bound,
 )
@@ -25,6 +25,7 @@ from lindley_alt.distributions import (
     prob_B_greater_A,
     triangular_cdf,
 )
+from lindley_alt.errors import InputError
 from lindley_alt.oracle import FixedPointProblem, fixed_point_solve
 
 
@@ -57,16 +58,22 @@ class TestWaitingErrorBound:
 
 class TestContraction:
     def test_distribution_objects_use_closed_form(self, svc1, uniform, triangular):
-        assert _contraction(uniform, svc1) == prob_B_greater_A(uniform, svc1)
-        assert _contraction(triangular, svc1) == pytest.approx(
+        cert = certify_approximation(uniform, 1, svc1)
+        assert cert.report.contraction == prob_B_greater_A(uniform, svc1)
+        assert prob_B_greater_A(triangular, svc1) == pytest.approx(
             0.38072751301529806, abs=1e-12
         )
 
-    def test_plain_callable_falls_back_to_quadrature(self, svc1):
-        # identity CDF == uniform law, so P[B > A] = 1/e
-        assert _contraction(lambda x: float(x), svc1) == pytest.approx(
-            math.exp(-1.0), abs=1e-9
-        )
+    def test_plain_callable_is_input_error(self, svc1, monkeypatch):
+        # rejected up front: no fit, solve or fixed-point work runs first
+        import lindley_alt.bounds as bounds_module
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the input check")
+
+        monkeypatch.setattr(bounds_module, "fit_report", no_fit)
+        with pytest.raises(InputError, match="PolynomialCdf"):
+            certify_approximation(lambda x: float(x), 3, svc1)
 
 
 @pytest.fixture(scope="module")

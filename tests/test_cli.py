@@ -7,8 +7,10 @@ outside the test harness too. Exit contract: 0 success, 2 input/validation
 error (one-line JSON on stderr), 3 numerical failure.
 """
 
+import ast
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -16,6 +18,29 @@ import pytest
 
 from lindley_alt.cli import RunConfig, main
 from lindley_alt.errors import ConvergenceFailure, InputError
+
+#: x^20: P[B > A] rounds to 1 at mu = 100.
+X20_SPEC = json.dumps({"type": "polynomial", "coeffs": [0.0] * 20 + [1.0]})
+
+#: A value for every flag of the CLI, and the flags each subcommand reads.
+FLAG_VALUES = {
+    "dist": "uniform", "mu": "3", "order": "5", "grid": "1024",
+    "samples": "20000", "seed": "1", "out": "unused.txt", "format": "csv",
+}
+KEPT_FLAGS = {
+    "solve": {"dist", "mu", "order", "out", "format"},
+    "fit": {"dist", "order", "out", "format"},
+    "bound": {"dist", "mu", "order", "grid", "out"},
+    "verify": {"dist", "mu", "order", "grid", "samples", "seed", "out"},
+    "table1": {"out"},
+    "figure1": {"out"},
+}
+REJECTED_FLAGS = [
+    (command, flag)
+    for command, kept in KEPT_FLAGS.items()
+    for flag in FLAG_VALUES
+    if flag not in kept
+]
 
 TRIANGULAR_SPEC = (
     '{"type": "piecewise", "breaks": [0.0, 0.5, 1.0],'
@@ -185,6 +210,15 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS") for line in lines)
         assert lines[2].endswith("< 3.536e-02")
 
+    def test_contraction_rounding_to_one(self, capsys):
+        # P[B > A] = 1 - 2.4e-22 rounds to 1; the fixed-point cap stays finite
+        rc = main(["verify", "--dist", X20_SPEC, "--mu", "100", "--samples", "20000",
+                   "--grid", "1024"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith("PASS") for line in lines)
+
     def test_polynomial_dist_needs_no_order(self, capsys):
         rc = main(["verify", "--dist", "uniform", "--samples", "60000"])
         assert rc == 0
@@ -247,6 +281,17 @@ class TestTable1Command:
             for line in capsys.readouterr().out.strip().splitlines()
         )
 
+    @pytest.mark.parametrize("flag", ["mu", "order", "grid", "samples", "seed"])
+    def test_stream_verify_takes_only_out(self, flag, table1_csv, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(table1_csv))
+        rc = main(["verify", f"--{flag}", "9"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InputError"
+        assert f"--{flag}" in err["message"]
+
     def test_foreign_stdin_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("a,b,c\n1,2,3\n"))
         rc = main(["verify"])
@@ -307,6 +352,36 @@ class TestErrorChannels:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConvergenceFailure"
 
+    @pytest.mark.parametrize("command,flag", REJECTED_FLAGS)
+    def test_flag_a_command_does_not_read_is_usage_error(self, command, flag, capsys):
+        argv = [command]
+        if "dist" in KEPT_FLAGS[command]:
+            argv += ["--dist", "uniform"]
+        rc = main(argv + [f"--{flag}", FLAG_VALUES[flag]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "InputError"
+        assert f"--{flag}" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["frobnicate"], ["solve", "--dist"], ["fit", "--order", "two"]]
+    )
+    def test_usage_errors_are_json(self, argv, capsys):
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InputError"
+
+    def test_help_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        assert "--samples" in capsys.readouterr().out
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
@@ -349,3 +424,19 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_library_never_imports_scipy():
+    # scipy is a test-only dependency: no module of the package imports it
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "lindley_alt"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []

@@ -15,6 +15,7 @@ from lindley_alt.distributions import (
     ExponentialService,
     PiecewisePolynomialCdf,
     PolynomialCdf,
+    _laplace,
     eval_cdf,
     eval_density,
     inverse_cdf,
@@ -26,7 +27,9 @@ from lindley_alt.distributions import (
     uniform_cdf,
     validate,
 )
-from lindley_alt.errors import NotACdf
+from lindley_alt.errors import InputError, NotACdf
+from lindley_alt.oracle import FixedPointProblem, simulate
+from lindley_alt.solver import solve
 
 
 class TestValidate:
@@ -182,6 +185,46 @@ class TestProbBGreaterA:
             for mu in (0.01, 1.0, 17.0, 300.0):
                 svc = ExponentialService(mu)
                 assert prob_B_greater_A(dist, svc) == prob_B_greater_A(piece, svc)
+
+    @pytest.mark.parametrize("degree", [70, 100])
+    def test_high_degree_matches_gammainc(self, degree):
+        # F = x^n: E[e^{-mu B}] = n * gamma(n, mu) / mu^n, past the 64-order
+        # cap of the public moment entry point
+        dist = validate([0.0] * degree + [1.0])
+        for mu in (0.3, 1.0, 17.0, 300.0):
+            with mpmath.workdps(40):
+                m = mpmath.mpf(mu)
+                want = degree * mpmath.gammainc(degree, 0, m) / m**degree
+            assert _laplace(dist, mu) == pytest.approx(float(want), rel=1e-13)
+            assert prob_B_greater_A(dist, ExponentialService(mu)) == pytest.approx(
+                float(1 - want), rel=1e-13
+            )
+
+
+class TestPlainCallables:
+    """Only the fitter and sup_distance (test_bernstein) take a plain callable."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda f, svc: prob_B_greater_A(f, svc), id="prob_B_greater_A"),
+            pytest.param(lambda f, svc: inverse_cdf(f, 0.5), id="inverse_cdf"),
+            pytest.param(
+                lambda f, svc: inverse_cdf_array(f, np.array([0.25, 0.75])),
+                id="inverse_cdf_array",
+            ),
+            pytest.param(lambda f, svc: simulate(f, svc, 10**4), id="simulate"),
+            pytest.param(lambda f, svc: FixedPointProblem(f, svc), id="FixedPointProblem"),
+            pytest.param(lambda f, svc: solve(f, svc), id="solve"),
+        ],
+    )
+    def test_guarded_entry_points_raise_input_error(self, call, svc1):
+        with pytest.raises(InputError, match="needs a PolynomialCdf"):
+            call(lambda x: x, svc1)
+
+    def test_solve_takes_only_polynomial_cdfs(self, triangular, svc1):
+        with pytest.raises(InputError, match="got PiecewisePolynomialCdf"):
+            solve(triangular, svc1)
 
 
 class TestSampling:

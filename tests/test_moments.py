@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from lindley_alt._moments import (
-    anchored_moment_table,
+    _anchored_moments,
+    _moments,
     complex_moment_grid,
     exp_weighted_moment,
     moment_grid,
-    moment_table,
 )
 
 # (k, r, value) with value = int_0^1 y^k exp(r y) dy at 15 significant digits
@@ -66,7 +66,7 @@ def test_against_mpmath(r):
 def test_recurrence_identity():
     # I_k = (e^r - k I_{k-1}) / r, the defining integration by parts
     for r in (0.7, -2.3, 11.0, -47.0, 3.0 + 4.0j):
-        table = moment_table(40, r)
+        table = _moments(40, complex(r))
         er = np.exp(r)
         for k in range(1, 41):
             assert table[k] == pytest.approx((er - k * table[k - 1]) / r, rel=1e-11)
@@ -74,7 +74,7 @@ def test_recurrence_identity():
 
 def test_table_matches_scalar():
     for r in (-5.0, 0.0, 2.5, 1.0 - 2.0j):
-        table = moment_table(25, r)
+        table = _moments(25, complex(r))
         for k in (0, 7, 25):
             assert table[k] == exp_weighted_moment(k, r)
 
@@ -91,14 +91,14 @@ class TestAnchored:
 
     def test_matches_scaled_moments(self):
         for r in (0.3, -4.0, 12.0, 5.0 + 2.0j, 60.0):
-            plain = np.asarray(moment_table(20, r), dtype=complex)
-            anchored = np.asarray(anchored_moment_table(20, r), dtype=complex)
+            plain = np.asarray(_moments(20, complex(r)), dtype=complex)
+            anchored = np.asarray(_anchored_moments(20, complex(r)), dtype=complex)
             scale = complex(np.exp(-np.asarray(r, dtype=complex)))
             np.testing.assert_allclose(anchored, plain * scale, rtol=1e-11)
 
     def test_huge_real_part_stays_finite(self):
         # e^r overflows near r = 710; the anchored form must not
-        anchored = anchored_moment_table(10, 800.0)
+        anchored = _anchored_moments(10, complex(800.0))
         assert np.all(np.isfinite(anchored))
         # by parts: A_k = (1 - k A_{k-1}) / r for k >= 1 (boundary term vanishes)
         for k in range(1, 11):
@@ -124,7 +124,7 @@ class TestGrid:
         z = np.array([-300.0, -1000.0])
         grid = moment_grid(kmax, z)
         for j, zj in enumerate(z):
-            want = moment_table(kmax, complex(zj))
+            want = _moments(kmax, complex(zj))
             for k in range(kmax + 1):
                 assert grid[k, j] == pytest.approx(want[k].real, rel=1e-13)
 
@@ -146,7 +146,7 @@ class TestComplexGrid:
         grid = complex_moment_grid(kmax, self.Z)
         assert grid.shape == (kmax + 1, self.Z.size)
         for j, zj in enumerate(self.Z):
-            want = np.asarray(moment_table(kmax, complex(zj)), dtype=complex)
+            want = np.asarray(_moments(kmax, complex(zj)), dtype=complex)
             assert np.max(np.abs(grid[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kmax", [0, 1, 6, 40])
@@ -155,5 +155,5 @@ class TestComplexGrid:
         grid = complex_moment_grid(kmax, z.reshape(1, -1), anchored=True)
         assert grid.shape == (kmax + 1, 1, z.size)
         for j, zj in enumerate(z):
-            want = np.asarray(anchored_moment_table(kmax, complex(zj)), dtype=complex)
+            want = np.asarray(_anchored_moments(kmax, complex(zj)), dtype=complex)
             assert np.max(np.abs(grid[:, 0, j] - want)) <= 1e-14 * np.max(np.abs(want))

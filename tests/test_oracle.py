@@ -18,6 +18,7 @@ from lindley_alt import oracle
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
     ExponentialService,
+    PiecewisePolynomialCdf,
     eval_cdf,
     inverse_cdf_array,
     prob_B_greater_A,
@@ -25,7 +26,7 @@ from lindley_alt.distributions import (
     uniform_cdf,
     validate,
 )
-from lindley_alt.errors import NonConvergence
+from lindley_alt.errors import InputError, NonConvergence
 from lindley_alt.oracle import (
     FixedPointProblem,
     GridCdf,
@@ -129,6 +130,21 @@ class TestFixedPoint:
             fixed_point_solve(
                 FixedPointProblem(uniform, svc1, grid_size=256, tolerance=1e-30)
             )
+
+    def test_contraction_rounding_to_one_still_converges(self):
+        # x^20 at mu = 100: P[B > A] rounds to 1, E[e^{-mu B}] is 2.4e-22
+        x20 = validate([0.0] * 20 + [1.0])
+        svc = ExponentialService(100.0)
+        assert prob_B_greater_A(x20, svc) == 1.0
+        grid, iterations = fixed_point_solve(FixedPointProblem(x20, svc, grid_size=256))
+        assert iterations > 1000
+        assert np.max(np.abs(eval_waiting_cdf(solve(x20, svc), grid.x) - grid.values)) < 2e-4
+
+    def test_underflowing_laplace_transform_is_input_error(self):
+        # no mass below 0.9: E[e^{-mu B}] < e^{-900} underflows at mu = 1000
+        late = PiecewisePolynomialCdf((0.0, 0.9, 1.0), ((0.0,), (-9.0, 10.0)))
+        with pytest.raises(InputError, match="mu = 1000"):
+            fixed_point_solve(FixedPointProblem(late, ExponentialService(1000.0), grid_size=256))
 
     @pytest.mark.parametrize("mu", [0.3, 1.0, 4.0, 17.0])
     def test_solve_matches_per_iteration_map_bitwise(self, triangular, mu):

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import random_polynomial_cdf
 from lindley_alt._exact import exact_char, exact_nu
-from lindley_alt._moments import anchored_moment_table, moment_table
+from lindley_alt._moments import _anchored_moments, _moments
 from lindley_alt._numeric import DOUBLE
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
@@ -240,8 +240,8 @@ def _residual_loop(sol, prep, svc, points):
             if b <= 0.0:
                 break
             r = m.root
-            plus = anchored_moment_table(n, r * b)
-            minus = moment_table(n, -r * b)
+            plus = _anchored_moments(n, r * b)
+            minus = _moments(n, -r * b)
             shift = cmath.exp(r * (b - 1.0))
             bpow = b
             for k in range(n + 1):
