@@ -3,8 +3,9 @@
 Every solver stage is written once, against the small protocol the two
 context objects below share: ``exp``/``expm1``, ``polyval``, the complex
 constructor, conversion of exact rationals (``exact``, ``real``), the
+sampler's ``pi``, ``exp_array``/``sin_array`` and ``combine``, the
 tolerances of the moment recurrences and of the Newton polish, and a dense
-``lu_solve`` that hands back double-precision results. Python ``complex``
+``lu_solve`` that hands back the context's own numbers. Python ``complex``
 and mpmath ``mpc`` share their arithmetic operators, so a stage's body is
 the same in both; :func:`context_of` recovers the context from the numbers
 a stage is handed, and the solver picks it once per solve by degree.
@@ -14,7 +15,7 @@ a stage is handed, and the solver picks it once per solve by degree.
   refinement.
 * :data:`EXTENDED` — mpmath at :func:`working_dps` digits (entered with
   ``EXTENDED.precision(n)``, which scopes the precision, so no state leaks
-  between calls); ``lu_solve`` is ``mp.lu_solve``.
+  between calls); ``lu_solve`` is ``mp.lu_solve``; arrays hold objects.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ class _Double:
 
     complex = complex
     real = float
+    pi = math.pi
     expm1 = staticmethod(_expm1c)
+    exp_array = staticmethod(np.exp)
+    sin_array = staticmethod(np.sin)
     #: relative accuracy of the moment series and zero-seeded recurrences,
     #: and the cap on their terms
     eps = 1e-18
@@ -105,6 +109,11 @@ class _Double:
     @staticmethod
     def exp(z):
         return cmath.exp(z) if z.real <= 709.0 else complex(math.inf)
+
+    @staticmethod
+    def combine(weights: list, rows: list) -> np.ndarray:
+        """sum_i weights[i] * rows[i] over arrays of equal length."""
+        return np.asarray(weights) @ np.array(rows)
 
     @staticmethod
     def polyval(coeffs, x) -> complex:
@@ -129,6 +138,8 @@ class _Extended:
     exp = staticmethod(mp.exp)
     expm1 = staticmethod(mp.expm1)
     polyval = staticmethod(mp.polyval)
+    exp_array = staticmethod(np.frompyfunc(mp.exp, 1, 1))
+    sin_array = staticmethod(np.frompyfunc(mp.sin, 1, 1))
     polish_iters = 80
 
     @staticmethod
@@ -143,7 +154,9 @@ class _Extended:
         x = Fraction(x)
         return mp.mpf(x.numerator) / x.denominator
 
-    # the tolerances follow the working precision set by precision(n)
+    # pi and the tolerances follow the working precision set by precision(n)
+    pi = property(lambda self: +mp.pi)
+
     @property
     def eps(self) -> mp.mpf:
         return mp.mpf(10) ** (-(mp.mp.dps + 5))
@@ -159,13 +172,18 @@ class _Extended:
     accept_tol = polish_tol
 
     @staticmethod
-    def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solution in extended precision, rounded to double; the condition
-        number is the diagnostic one of the equilibrated double image."""
+    def combine(weights: list, rows: list) -> np.ndarray:
+        """sum_i weights[i] * rows[i] by mpmath fdot, rounded to complex."""
+        return np.array([complex(mp.fdot(weights, col)) for col in zip(*rows)])
+
+    @staticmethod
+    def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[list, float]:
+        """Solution at working precision; the condition number is the
+        diagnostic one of the equilibrated double image."""
         sol = mp.lu_solve(mp.matrix(mat.tolist()), mp.matrix(rhs.tolist()))
         scaled, _, _ = equilibrate(mat.astype(complex))
         cond = float(np.linalg.cond(scaled))
-        return np.array([complex(v) for v in sol], dtype=complex), cond
+        return list(sol), cond
 
 
 DOUBLE = _Double()

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bernstein import FitReport, fit_report
 from .distributions import ExponentialService, _require_law, prob_B_greater_A
-from .errors import PostconditionViolation
+from .errors import InputError, PostconditionViolation
 from .oracle import (
     DEFAULT_GRID,
     DEFAULT_TOL,
@@ -148,10 +148,14 @@ def certify_approximation(
     respect the certified bound up to :data:`CERTIFICATE_SLACK`; a breach
     raises :class:`PostconditionViolation` since it would falsify either
     the solver or the oracle. ``dist`` must be a polynomial or piecewise-
-    polynomial law; a plain callable raises :class:`InputError` before any
-    fit or solve work.
+    polynomial law whose P[B > A] stays below 1 in double precision; a
+    plain callable, or a law whose contraction rounds to 1, raises
+    :class:`InputError` before any fit or solve work.
     """
     _require_law(dist, "certify_approximation")
+    contraction = prob_B_greater_A(dist, svc)
+    if contraction >= 1.0:
+        raise InputError(f"P[B > A] rounds to 1 at rate {svc.rate:g}: no certificate exists")
     fit = fit_report(dist, order)
     solution = solve(fit.fitted, svc)
     if reference is None:
@@ -162,7 +166,6 @@ def certify_approximation(
         raise ValueError(
             f"supplied reference has grid {reference.grid_size}, expected {grid_size}"
         )
-    contraction = prob_B_greater_A(dist, svc)
     epsilon = fit.sup_error
     certified = waiting_error_bound(epsilon, contraction)
     alternate_constant = 1.0 - contraction  # E[exp(-mu B)]

@@ -44,9 +44,9 @@ from .distributions import (
     PolynomialCdf,
     eval_cdf,
     parse_distribution_spec,
-    prob_B_greater_A,
+    triangular_cdf,
 )
-from .errors import InputError, LindleyAltError, NotACdf, NumericalError
+from .errors import InputError, NotACdf, NumericalError
 from .oracle import (
     MIN_SIMULATION_STEPS,
     FixedPointProblem,
@@ -55,13 +55,7 @@ from .oracle import (
     ks_distance,
     simulate,
 )
-from .solver import (
-    _mode_terms,
-    eval_waiting_cdf,
-    eval_waiting_density,
-    solution_summary,
-    solve,
-)
+from .solver import eval_waiting_cdf, solution_summary, solve
 
 __all__ = ["RunConfig", "main"]
 
@@ -150,38 +144,30 @@ def _csv(rows, header=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_polynomial(dist, command: str) -> PolynomialCdf:
+def _polynomial_law(config: RunConfig) -> PolynomialCdf:
+    """The --dist law itself, or its Bernstein fit when --order is given."""
+    dist = config.distribution()
+    if config.order is not None:
+        return fit_report(dist, config.order).fitted
     if not isinstance(dist, PolynomialCdf):
         raise InputError(
-            f"{command} requires a polynomial CDF; fit non-polynomial "
+            f"{config.command} requires a polynomial CDF; fit non-polynomial "
             f"distributions first (or pass --order to work on the fit)"
         )
     return dist
 
 
-def _density_column(solution, xs: np.ndarray) -> np.ndarray:
-    """f_W on a grid starting at x = 0, where the right limit stands in."""
-    col = np.empty(xs.size)
-    col[0] = float(np.real(_mode_terms(solution, xs[:1]))[0])
-    col[1:] = eval_waiting_density(solution, xs[1:])
-    return col
-
-
 def _sample_table(solution) -> list[tuple[float, float, float]]:
-    """(x, f_W, F_W) rows at 1025 equally spaced points of [0, 1]."""
+    """(x, f_W, F_W) rows at 1025 equally spaced points of [0, 1]; the
+    density series gives f_W(0+) at x = 0."""
     xs = np.arange(_TABLE_POINTS) / (_TABLE_POINTS - 1)
-    dens = _density_column(solution, xs)
+    dens = solution.density_series(xs)
     cdf = eval_waiting_cdf(solution, xs)
     return list(zip(xs.tolist(), dens.tolist(), cdf.tolist()))
 
 
 def cmd_solve(config: RunConfig) -> int:
-    dist = config.distribution()
-    if config.order is not None:
-        dist = fit_report(dist, config.order).fitted
-    else:
-        dist = _require_polynomial(dist, "solve")
-    solution = solve(dist, config.service)
+    solution = solve(_polynomial_law(config), config.service)
     table = _sample_table(solution)
     csv_text = _csv(table, header=("x", "f_W", "F_W"))
     if config.fmt == "csv":
@@ -239,18 +225,14 @@ def _verify_checks(config: RunConfig):
     Yields (name, measured, threshold) triples; a check passes when
     measured < threshold.
     """
-    dist = config.distribution()
-    if config.order is not None:
-        dist = fit_report(dist, config.order).fitted
-    else:
-        dist = _require_polynomial(dist, "verify")
+    dist = _polynomial_law(config)
     svc = config.service
     solution = solve(dist, svc)
 
     from .solver import integral_equation_residual
 
     pts = np.linspace(1.0 / 1000, 1.0, 1000)
-    residual = float(np.max(np.abs(integral_equation_residual(solution, dist, svc, pts))))
+    residual = integral_equation_residual(solution, dist, svc, pts)
     yield ("integral_equation_residual", residual, 1e-7)
 
     grid, _ = fixed_point_solve(FixedPointProblem(dist, svc, grid_size=config.grid))
@@ -311,8 +293,6 @@ def _verify_table1_stream(config: RunConfig) -> int:
 
 def _table1_rows():
     """The benchmark rows; shared verbatim by `table1` and `verify`."""
-    from .distributions import triangular_cdf
-
     tri = triangular_cdf()
     svc = ExponentialService(1.0)
     reference = None
@@ -341,8 +321,6 @@ def cmd_table1(config: RunConfig) -> int:
 
 
 def cmd_figure1(config: RunConfig) -> int:
-    from .distributions import triangular_cdf
-
     tri = triangular_cdf()
     svc = ExponentialService(1.0)
     xs = np.arange(_TABLE_POINTS) / (_TABLE_POINTS - 1)
@@ -357,7 +335,7 @@ def cmd_figure1(config: RunConfig) -> int:
     grid, _ = fixed_point_solve(FixedPointProblem(tri, svc, grid_size=_BENCH_GRID))
     step = _BENCH_GRID // (_TABLE_POINTS - 1)
     f_ref = density_estimate(grid)[::step]
-    dens_cols = [xs] + [_density_column(solutions[n], xs) for n in _BENCH_ORDERS] + [f_ref]
+    dens_cols = [xs] + [solutions[n].density_series(xs) for n in _BENCH_ORDERS] + [f_ref]
     dens_header = ("x",) + tuple(f"f_W_fit_n{n}" for n in _BENCH_ORDERS) + ("f_W_reference",)
 
     prefix = config.out or "figure1"

@@ -118,8 +118,9 @@ class NonConvergence(NumericalError):
 
 
 class IllConditioned(UserWarning):
-    """The linear system's condition number exceeds 1e10.
+    """A double-precision solve's mode system has condition number > 1e10.
 
     Results are still returned (uniqueness is guaranteed analytically); this
-    warning surfaces the numerical risk to the caller.
+    warning surfaces the risk to the double-precision strengths. The
+    extended context solves at working precision and does not warn.
     """

@@ -19,8 +19,12 @@ Numerical backbone:
 * every exponential is evaluated in an *anchored* form — the growing part of
   a mode is parametrized as exp(r*(x-1)) — so nothing overflows even when
   roots have large real parts (which near-degenerate inputs do produce);
-* no quadrature anywhere: every integral reduces to the closed-form moment
+* every integral in the linear system reduces to the closed-form moment
   family of :mod:`lindley_alt._moments`;
+* the law is evaluated from one real Chebyshev series of the density,
+  sampled from the mode mixture at the solve's working precision; the
+  residual integrates it against F_B by Gauss-Legendre, exact on that
+  polynomial;
 * the derivative-hierarchy weights and characteristic coefficients are
   assembled in exact rational arithmetic (they cancel catastrophically in
   floating point);
@@ -35,17 +39,22 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from ._exact import EXTENDED_DEGREE, exact_char, exact_nu, safe_float
-from ._moments import _anchored_moments, _moments, complex_moment_grid
+from ._moments import _anchored_moments, _moments
 from ._numeric import DOUBLE, EXTENDED, context_of
-from .distributions import ExponentialService, PolynomialCdf, _require_law
+from .distributions import (
+    ExponentialService,
+    PolynomialCdf,
+    _compensated_horner,
+    _require_law,
+)
 from .errors import (
     ConvergenceFailure,
     DegenerateMode,
@@ -80,6 +89,11 @@ _REPEATED_ROOT_TOL = 1e-7
 
 #: Grid used by the solution's structural self-checks.
 _CHECK_GRID = 1025
+
+#: Chebyshev points of the density series: the first pass samples 2^4 + 1,
+#: and doubling stops at 2^16 + 1 (terms grow like 6 sqrt(mu) for mu >> 1).
+_SERIES_START = 1 << 4
+_SERIES_MAX = 1 << 16
 
 #: Relative gap below which a pair column's head and tail count as equal in
 #: magnitude; the reported theta is then the one normalized to 1.
@@ -123,8 +137,11 @@ class Mode:
 class WaitingTimeSolution:
     """Atom plus exponential-mode mixture: the steady-state law of W.
 
-    ``modes`` holds the representative half of each root pair; evaluation
-    expands both members. All invariants (normalization, realness,
+    ``modes`` holds the representative half of each root pair, for
+    :func:`solution_summary`. Evaluation reads ``density_series``, f on
+    [0, 1] as a Chebyshev series, and ``integral_series``, its integral from
+    0, so F = pi0 + that integral; they are derived data, left out of
+    equality and hashing. All invariants (normalization, realness,
     nonnegativity) are verified before construction completes.
     """
 
@@ -133,6 +150,8 @@ class WaitingTimeSolution:
     prep: PolynomialCdf
     service: ExponentialService
     condition_number: float
+    density_series: Chebyshev = field(compare=False)
+    integral_series: Chebyshev = field(compare=False)
 
     @property
     def mu(self) -> float:
@@ -449,7 +468,8 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     everything runs in equilibrated double precision with one step of
     iterative refinement; above that the assembly cancellation outgrows
     double precision and the same pipeline runs in exact rational /
-    extended-precision arithmetic, rounded to double on output.
+    extended-precision arithmetic. The density series is sampled from the
+    mode mixture in the same context, before the strengths are rounded.
 
     Raises
     ------
@@ -462,8 +482,9 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     Warns
     -----
     IllConditioned
-        When the equilibrated linear system's condition number exceeds 1e10;
-        the solution is still returned, with the condition number recorded.
+        When a double-precision solve's equilibrated condition number
+        exceeds 1e10; the solution is still returned, with the condition
+        number recorded.
     """
     _require_law(prep, "solve", (PolynomialCdf,))
     if prep.degree < 1:
@@ -486,13 +507,14 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         basis = [(r,) + _pair_coefficients(r, nu, mu, n) for r in ordered[: n + 1].tolist()]
         mat, rhs = assemble_linear_system(basis, nu, prep, svc)
         sol, cond = ctx.lu_solve(mat, rhs)
+        density = _density_series(basis, sol[:-1], ctx)
 
-    if cond > ILL_CONDITIONED_THRESHOLD:
+    # the extended system is solved at working precision
+    if ctx is DOUBLE and cond > ILL_CONDITIONED_THRESHOLD:
         warnings.warn(
             f"mode system condition number {cond:.3e} exceeds "
-            f"{ILL_CONDITIONED_THRESHOLD:g} even after equilibration; "
-            f"double-precision evaluation of the returned modes may amplify "
-            f"rounding error",
+            f"{ILL_CONDITIONED_THRESHOLD:g} even after equilibration; the "
+            f"double-precision mode strengths may carry amplified rounding error",
             IllConditioned,
             stacklevel=2,
         )
@@ -508,33 +530,98 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         prep=prep,
         service=svc,
         condition_number=cond,
+        density_series=density,
+        integral_series=density.integ(lbnd=0.0),
     )
     _verify_solution(solution, pi0_raw)
     return solution
 
 
-def _mode_terms(sol: WaitingTimeSolution, x: np.ndarray) -> np.ndarray:
-    """Complex density values sum_j u_j g_j(x) on an array (no realness cut)."""
-    total = np.zeros(x.shape, dtype=complex)
-    for m in sol.modes:
-        r = m.root
-        total += m.strength * (
-            m.head * np.exp(r * (x - 1.0)) + m.tail * np.exp(-r * x)
-        )
-    return total
+def _mode_terms(basis, strengths, x: np.ndarray, ctx) -> np.ndarray:
+    """Complex density values sum_j u_j g_j(x), rounded to double once.
+
+    The density series' sampler: it runs in the solve's context, on the
+    unrounded strengths. The points are mirrored (``x[::-1] == 1 - x`` to
+    the context's rounding), so one exp(-r*x) per point and mode serves both
+    pair members: exp(r*(x-1)) is the mirrored entry, and with Re r >= 0
+    neither overflows.
+    """
+    weights, rows = [], []
+    for (r, head, tail), u in zip(basis, strengths):
+        decay = ctx.exp_array(-r * x)
+        weights += [u * head, u * tail]
+        rows += [decay[::-1], decay]
+    return ctx.combine(weights, rows)
 
 
-def _cdf_terms(sol: WaitingTimeSolution, x: np.ndarray) -> np.ndarray:
-    """Complex CDF values pi0 + sum_j u_j int_0^x g_j on an array."""
-    total = np.full(x.shape, complex(sol.pi0))
-    for m in sol.modes:
-        r = m.root
-        emr = cmath.exp(-r)
-        total += (m.strength / r) * (
-            m.head * (np.exp(r * (x - 1.0)) - emr)
-            + m.tail * (1.0 - np.exp(-r * x))
-        )
-    return total
+def _chebyshev_points(m: int, ctx) -> np.ndarray:
+    """The m + 1 Chebyshev extrema sin^2(pi k / (2m)) of [0, 1] in the
+    context's reals, ascending and mirrored (x[::-1] == 1 - x)."""
+    return ctx.sin_array(np.arange(m + 1) * (ctx.pi / (2 * m))) ** 2
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients on [0, 1] of the interpolant through values at
+    :func:`_chebyshev_points`: a DCT-I, as the real FFT of the even extension
+    of the values ordered by t = 2x - 1 = cos(pi k / m)."""
+    v = values[::-1]
+    m = v.size - 1
+    coeffs = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / m
+    coeffs[[0, m]] /= 2.0
+    return coeffs
+
+
+def _standard_chop(coeffs: np.ndarray) -> int | None:
+    """How many leading coefficients to keep, or None while no plateau of
+    rounding noise shows: standardChop of Aurentz & Trefethen, "Chopping a
+    Chebyshev series", ACM TOMS 43(4), 2017, at tol = machine epsilon, with
+    their 1-based j, j2, j3."""
+    n, tol = coeffs.size, np.finfo(float).eps
+    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if n < 17 or envelope[0] == 0.0:
+        return None if n < 17 else 1
+    envelope = envelope / envelope[0]
+    # the plateau: the first j whose envelope is nearly flat up to j2
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)  # Matlab's round
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
+    if not np.any(flat):
+        return None
+    plateau, j2 = int(j[flat][0]) - 1, int(j2[flat][0])
+    if envelope[plateau - 1] == 0.0:
+        return plateau
+    # the cut: the lowest point of the envelope seen under a slight tilt
+    j3 = int(np.sum(envelope >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = tol ** (7.0 / 6.0)
+    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
+def _density_series(basis, strengths, ctx) -> Chebyshev:
+    """The density as one real Chebyshev series on [0, 1], chopped.
+
+    Doubles the sample points, keeping every sample, until
+    :func:`_standard_chop` finds the rounding plateau. Raises
+    :class:`PostconditionViolation` if none shows by the last point count,
+    or if the samples' imaginary residue (checked here, once) exceeds 1e-8.
+    """
+    m = _SERIES_START
+    samples = _mode_terms(basis, strengths, _chebyshev_points(m, ctx), ctx)
+    while (keep := _standard_chop(coeffs := _chebyshev_coefficients(samples.real))) is None:
+        if m == _SERIES_MAX:
+            raise PostconditionViolation("density_series", f"unresolved at {m + 1} points")
+        m *= 2
+        finer = _mode_terms(basis, strengths, _chebyshev_points(m, ctx)[1::2], ctx)
+        samples = np.append(np.column_stack([samples[:-1], finer]).ravel(), samples[-1])
+    worst = float(np.max(np.abs(samples.imag)))
+    if worst > 1e-8:
+        raise PostconditionViolation("density_real", f"max |Im f| = {worst:.3e}")
+    return Chebyshev(coeffs[:keep], domain=[0.0, 1.0])
 
 
 def _verify_solution(sol: WaitingTimeSolution, pi0_raw: complex) -> None:
@@ -542,93 +629,65 @@ def _verify_solution(sol: WaitingTimeSolution, pi0_raw: complex) -> None:
         raise PostconditionViolation("atom_real", f"Im(pi0) = {pi0_raw.imag:.3e}")
     if not -1e-10 <= sol.pi0 <= 1.0 + 1e-10:
         raise PostconditionViolation("atom_range", f"pi0 = {sol.pi0!r} outside [0, 1]")
-    total = complex(_cdf_terms(sol, np.ones(1))[0])  # atom + integral
+    total = sol.pi0 + float(sol.integral_series(1.0))  # atom + integral
     if abs(total - 1.0) > 1e-10:
         raise PostconditionViolation(
             "normalization", f"atom + integral = {total!r}, defect {abs(total - 1.0):.3e}"
         )
-    xs = np.linspace(0.0, 1.0, _CHECK_GRID)
-    vals = _real_part(_mode_terms(sol, xs), "density_real", "f")
-    worst_neg = float(np.min(vals))
+    worst_neg = float(np.min(sol.density_series(np.linspace(0.0, 1.0, _CHECK_GRID))))
     if worst_neg < -1e-8:
         raise PostconditionViolation("density_nonnegative", f"min f = {worst_neg:.3e}")
 
 
-def _real_part(vals: np.ndarray, check: str, name: str) -> np.ndarray:
-    """Real part of mode-sum values whose imaginary residue is below 1e-8."""
-    worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if worst > 1e-8:
-        raise PostconditionViolation(check, f"max |Im {name}| = {worst:.3e}")
-    return vals.real
-
-
 def eval_waiting_density(sol: WaitingTimeSolution, x):
-    """Waiting-time density on (0, 1] (the atom at 0 is not included).
-
-    The imaginary residue of the mode sum is asserted below 1e-8 and
-    discarded.
-    """
-    scalar = not isinstance(x, np.ndarray)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    """Waiting-time density on (0, 1] (the atom at 0 is not included)."""
+    xs = np.asarray(x, dtype=float)
     if np.any((xs <= 0.0) | (xs > 1.0)):
         raise ValueError(
             "waiting-time density is defined on (0, 1]; the mass at 0 is the atom pi0"
         )
-    out = _real_part(_mode_terms(sol, xs), "density_real", "f")
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    out = sol.density_series(xs)
+    return out if isinstance(x, np.ndarray) else float(out.flat[0])
 
 
 def eval_waiting_cdf(sol: WaitingTimeSolution, x):
-    """Waiting-time CDF: 0 below 0, atom + mode integrals on [0, 1], 1 above."""
-    scalar = not isinstance(x, np.ndarray)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = np.clip(xs, 0.0, 1.0)
-    vals = _real_part(_cdf_terms(sol, inside), "cdf_real", "F")
+    """Waiting-time CDF: 0 below 0, atom + integral of the density on [0, 1],
+    1 above."""
+    xs = np.asarray(x, dtype=float)
+    vals = sol.pi0 + sol.integral_series(np.clip(xs, 0.0, 1.0))
     # at exactly 1 the computed value (1 within 1e-10 by normalization) is
     # returned rather than clamped, so the endpoint stays a real check
     out = np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, vals))
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    return out if isinstance(x, np.ndarray) else float(out.flat[0])
 
 
 def integral_equation_residual(
     sol: WaitingTimeSolution, prep: PolynomialCdf, svc: ExponentialService, points
 ) -> float:
-    """Largest defect of the stationary integral equation at the points.
+    """Largest defect at the points of the stationary integral equation
 
-    Every integral of a mode exponential over [0, 1-x] and [1-x, 1] is in
-    closed form (shifted moment tables) — no quadrature — so this is an
-    independent re-derivation check, not a smoke test: perturbing any mode
-    weight by 1% moves the result above 1e-4. It is vectorized over the
-    points: each mode costs one pair of :func:`complex_moment_grid` calls
-    and a few array passes.
+        f(x) - mu F(x) + mu pi0 F_B(x) + mu int_0^{1-x} F_B(x+y) f(y) dy
+             + mu int_{1-x}^1 f(y) dy = 0.
+
+    f and F come from the solution's two series, F_B from ``prep`` by
+    compensated Horner (at high order its monomial coefficients reach 1e11
+    and cancel). The inner integrand is a polynomial, which Gauss-Legendre
+    with (deg F_B + terms) / 2 + 1 nodes integrates exactly. So the defect
+    vanishes only on the true law: moving the atom by 1% moves it above 1e-4.
     """
-    c = prep.coeffs
-    n = prep.degree
-    mu = svc.rate
     x = np.atleast_1d(np.asarray(points, dtype=float)).reshape(-1)
-    total = complex(_cdf_terms(sol, np.ones(1))[0]) - sol.pi0  # int_0^1 f(y) dy
-    inside = x < 1.0
-    b = 1.0 - x[inside]
-    bpow = b ** np.arange(1, n + 2)[:, None]  # b^(k+1)
-    partial = np.zeros((n + 1, x.size), dtype=complex)  # int_0^b y^k f(y) dy
-    for m in sol.modes:
-        r = m.root
-        plus = complex_moment_grid(n, r * b, anchored=True)
-        minus = complex_moment_grid(n, -r * b)
-        shift = np.exp(r * (b - 1.0))
-        partial[:, inside] += m.strength * bpow * (m.head * shift * plus + m.tail * minus)
-    # int_0^b F_B(x + y) dF_W(y) by the binomial expansion of F_B about x
-    double = sum(
-        np.polyval([c[i] * comb(i, k) for i in range(n, k - 1, -1)], x) * partial[k]
-        for k in range(n + 1)
-    )
-    fb = np.polyval(c[::-1], x)
-    resid = (
-        _mode_terms(sol, x)
-        - mu * _cdf_terms(sol, x)
-        + mu * sol.pi0 * fb
-        + mu * double
-        + mu * (total - partial[0])
+    c = np.asarray(prep.coeffs, dtype=float)
+
+    def fb(t):  # value plus correction
+        return sum(_compensated_horner(c, np.zeros_like(c), t))
+
+    f, mass = sol.density_series, sol.integral_series
+    nodes, weights = np.polynomial.legendre.leggauss((prep.degree + f.coef.size) // 2 + 1)
+    b = 1.0 - x
+    y = 0.5 * b[:, None] * (1.0 + nodes)  # the nodes mapped onto [0, 1 - x]
+    inner = 0.5 * b * ((fb(x[:, None] + y) * f(y)) @ weights)
+    resid = f(x) + svc.rate * (
+        sol.pi0 * (fb(x) - 1.0) - mass(x) + inner + mass(1.0) - mass(b)
     )
     return float(np.max(np.abs(resid), initial=0.0))
 

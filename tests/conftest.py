@@ -1,13 +1,19 @@
-"""Shared fixtures and randomized-input generators.
+"""Shared fixtures, randomized-input generators and the reference mode sums.
 
 Both generators are *constructive*: they build a nonnegative density first
 and integrate it, so every draw is a valid CDF by design (rather than
 rejection-sampling coefficient vectors, which almost never validate at
 higher degrees).
+
+The mode sums evaluate a solution's exponential mixture term by term in
+complex double precision, straight from its rounded modes. The solver no
+longer evaluates them; they are the independent reference its density
+series is tested against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -102,3 +108,24 @@ def random_piecewise_cdf(rng, max_pieces: int = 4) -> PiecewisePolynomialCdf:
         )
         level += w * (d0 + d1) / 2.0
     return PiecewisePolynomialCdf(tuple(float(b) for b in breaks), tuple(polys))
+
+
+def mode_density(sol, x: np.ndarray) -> np.ndarray:
+    """Complex density sum_j u_j (head_j e^{r_j (x-1)} + tail_j e^{-r_j x})."""
+    total = np.zeros(x.shape, dtype=complex)
+    for m in sol.modes:
+        r = m.root
+        total += m.strength * (m.head * np.exp(r * (x - 1.0)) + m.tail * np.exp(-r * x))
+    return total
+
+
+def mode_cdf(sol, x: np.ndarray) -> np.ndarray:
+    """Complex CDF pi0 + sum_j u_j int_0^x g_j, in closed form."""
+    total = np.full(x.shape, complex(sol.pi0))
+    for m in sol.modes:
+        r = m.root
+        emr = cmath.exp(-r)
+        total += (m.strength / r) * (
+            m.head * (np.exp(r * (x - 1.0)) - emr) + m.tail * (1.0 - np.exp(-r * x))
+        )
+    return total

@@ -75,6 +75,19 @@ class TestContraction:
         with pytest.raises(InputError, match="PolynomialCdf"):
             certify_approximation(lambda x: float(x), 3, svc1)
 
+    def test_contraction_rounding_to_one_is_input_error(self, monkeypatch):
+        # x^20 at mu = 100: P[B > A] = 1 - 2.4e-22 rounds to 1, so no
+        # certificate exists; refused before the fit, solve and fixed point
+        import lindley_alt.bounds as bounds_module
+        from lindley_alt.distributions import validate
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the contraction check")
+
+        monkeypatch.setattr(bounds_module, "fit_report", no_fit)
+        with pytest.raises(InputError, match="rounds to 1"):
+            certify_approximation(validate([0.0] * 20 + [1.0]), 20, ExponentialService(100.0))
+
 
 @pytest.fixture(scope="module")
 def triangular_certification():

@@ -178,6 +178,20 @@ class TestBoundCommand:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
+    def test_contraction_rounding_to_one(self, capsys, monkeypatch):
+        # no certificate exists, so the command exits 2 before any fit
+        import lindley_alt.bounds as bounds_module
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the contraction check")
+
+        monkeypatch.setattr(bounds_module, "fit_report", no_fit)
+        rc = main(["bound", "--dist", X20_SPEC, "--order", "20", "--mu", "100"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "InputError"
+        assert "rounds to 1" in payload["message"]
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
