@@ -1,0 +1,75 @@
+"""The extended numeric context: mpmath at the working precision of a solve.
+
+The only module that imports mpmath. The solver and
+:func:`lindley_alt._numeric.context_of` import it on first use, so a process
+whose solves all stay at or below ``EXTENDED_DEGREE`` never loads mpmath.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+
+from ._numeric import equilibrate, working_dps
+
+
+class _Extended:
+    """mpmath arithmetic at the working precision of the enclosing solve."""
+
+    complex = mp.mpc
+    exp = staticmethod(mp.exp)
+    expm1 = staticmethod(mp.expm1)
+    polyval = staticmethod(mp.polyval)
+    frexp = staticmethod(mp.frexp)
+    ldexp = staticmethod(mp.ldexp)
+    exp_array = staticmethod(np.frompyfunc(mp.exp, 1, 1))
+    sin_array = staticmethod(np.frompyfunc(mp.sin, 1, 1))
+    polish_iters = 80
+
+    @staticmethod
+    def precision(n: int):
+        return mp.workdps(working_dps(n))
+
+    exact = staticmethod(list)  # the exact rationals themselves
+
+    @staticmethod
+    def real(x) -> mp.mpf:
+        """int, float or Fraction, correctly rounded at working precision."""
+        x = Fraction(x)
+        return mp.mpf(x.numerator) / x.denominator
+
+    # pi and the tolerances follow the working precision set by precision(n)
+    pi = property(lambda self: +mp.pi)
+
+    @property
+    def eps(self) -> mp.mpf:
+        return mp.mpf(10) ** (-(mp.mp.dps + 5))
+
+    @property
+    def terms(self) -> int:
+        return 40 * mp.mp.dps
+
+    @property
+    def polish_tol(self) -> mp.mpf:
+        return mp.mpf(10) ** (-(mp.mp.dps - 12))
+
+    accept_tol = polish_tol
+
+    @staticmethod
+    def combine(weights: list, rows: list) -> np.ndarray:
+        """sum_i weights[i] * rows[i] by mpmath fdot, rounded to complex."""
+        return np.array([complex(mp.fdot(weights, col)) for col in zip(*rows)])
+
+    @staticmethod
+    def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[list, float]:
+        """Solution at working precision; the condition number is the
+        diagnostic one of the equilibrated double image."""
+        sol = mp.lu_solve(mp.matrix(mat.tolist()), mp.matrix(rhs.tolist()))
+        scaled, _, _ = equilibrate(mat.astype(complex))
+        cond = float(np.linalg.cond(scaled))
+        return list(sol), cond
+
+
+EXTENDED = _Extended()

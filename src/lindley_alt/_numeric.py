@@ -1,21 +1,24 @@
 """The two numeric contexts a solve runs in.
 
 Every solver stage is written once, against the small protocol the two
-context objects below share: ``exp``/``expm1``, ``polyval``, the complex
-constructor, conversion of exact rationals (``exact``, ``real``), the
-sampler's ``pi``, ``exp_array``/``sin_array`` and ``combine``, the
-tolerances of the moment recurrences and of the Newton polish, and a dense
-``lu_solve`` that hands back the context's own numbers. Python ``complex``
-and mpmath ``mpc`` share their arithmetic operators, so a stage's body is
-the same in both; :func:`context_of` recovers the context from the numbers
-a stage is handed, and the solver picks it once per solve by degree.
+context objects share: ``exp``/``expm1``, ``polyval``, ``frexp``/``ldexp``,
+the complex constructor, conversion of exact rationals (``exact``,
+``real``), the sampler's ``pi``, ``exp_array``/``sin_array`` and
+``combine``, the tolerances of the moment recurrences and of the Newton
+polish, and a dense ``lu_solve`` that hands back the context's own numbers.
+Python ``complex`` and mpmath ``mpc`` share their arithmetic operators, so a
+stage's body is the same in both; :func:`context_of` recovers the context
+from the numbers a stage is handed, and the solver picks it once per solve
+by degree.
 
 * :data:`DOUBLE` — cmath/numpy. Its ``lu_solve`` equilibrates the system by
   powers of two, solves with LAPACK and takes one step of iterative
   refinement.
-* :data:`EXTENDED` — mpmath at :func:`working_dps` digits (entered with
+* ``EXTENDED`` — mpmath at :func:`working_dps` digits (entered with
   ``EXTENDED.precision(n)``, which scopes the precision, so no state leaks
-  between calls); ``lu_solve`` is ``mp.lu_solve``; arrays hold objects.
+  between calls); ``lu_solve`` is ``mp.lu_solve``; arrays hold objects. It
+  lives in :mod:`lindley_alt._extended`, which is imported, and mpmath with
+  it, only when a solve needs it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import contextlib
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 
@@ -86,6 +88,8 @@ class _Double:
     real = float
     pi = math.pi
     expm1 = staticmethod(_expm1c)
+    frexp = staticmethod(math.frexp)
+    ldexp = staticmethod(math.ldexp)
     exp_array = staticmethod(np.exp)
     sin_array = staticmethod(np.sin)
     #: relative accuracy of the moment series and zero-seeded recurrences,
@@ -131,65 +135,16 @@ class _Double:
         return y * col_scale, cond
 
 
-class _Extended:
-    """mpmath arithmetic at the working precision of the enclosing solve."""
-
-    complex = mp.mpc
-    exp = staticmethod(mp.exp)
-    expm1 = staticmethod(mp.expm1)
-    polyval = staticmethod(mp.polyval)
-    exp_array = staticmethod(np.frompyfunc(mp.exp, 1, 1))
-    sin_array = staticmethod(np.frompyfunc(mp.sin, 1, 1))
-    polish_iters = 80
-
-    @staticmethod
-    def precision(n: int):
-        return mp.workdps(working_dps(n))
-
-    exact = staticmethod(list)  # the exact rationals themselves
-
-    @staticmethod
-    def real(x) -> mp.mpf:
-        """int, float or Fraction, correctly rounded at working precision."""
-        x = Fraction(x)
-        return mp.mpf(x.numerator) / x.denominator
-
-    # pi and the tolerances follow the working precision set by precision(n)
-    pi = property(lambda self: +mp.pi)
-
-    @property
-    def eps(self) -> mp.mpf:
-        return mp.mpf(10) ** (-(mp.mp.dps + 5))
-
-    @property
-    def terms(self) -> int:
-        return 40 * mp.mp.dps
-
-    @property
-    def polish_tol(self) -> mp.mpf:
-        return mp.mpf(10) ** (-(mp.mp.dps - 12))
-
-    accept_tol = polish_tol
-
-    @staticmethod
-    def combine(weights: list, rows: list) -> np.ndarray:
-        """sum_i weights[i] * rows[i] by mpmath fdot, rounded to complex."""
-        return np.array([complex(mp.fdot(weights, col)) for col in zip(*rows)])
-
-    @staticmethod
-    def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[list, float]:
-        """Solution at working precision; the condition number is the
-        diagnostic one of the equilibrated double image."""
-        sol = mp.lu_solve(mp.matrix(mat.tolist()), mp.matrix(rhs.tolist()))
-        scaled, _, _ = equilibrate(mat.astype(complex))
-        cond = float(np.linalg.cond(scaled))
-        return list(sol), cond
-
-
 DOUBLE = _Double()
-EXTENDED = _Extended()
 
 
 def context_of(x):
-    """The context a number belongs to: mpmath numbers are extended."""
-    return EXTENDED if isinstance(x, (mp.mpf, mp.mpc)) else DOUBLE
+    """The context a number belongs to: mpmath numbers are extended.
+
+    Told by the type's module, so the double path never imports mpmath.
+    """
+    if type(x).__module__.partition(".")[0] != "mpmath":
+        return DOUBLE
+    from ._extended import EXTENDED
+
+    return EXTENDED

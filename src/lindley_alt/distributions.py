@@ -19,6 +19,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 
@@ -58,8 +59,12 @@ _SAMPLER_CELLS = 1 << 12
 #: Equal deviate buckets of the sampler's guide table.
 _GUIDE_BUCKETS = 1 << 14
 
-#: Draws the sampler handles per pass; its temporaries stay at 0.5 MB each.
-_SAMPLER_BLOCK = 1 << 16
+#: Draws the sampler handles per pass. Each temporary is then 64 KiB, below
+#: glibc's default 128 KiB mmap threshold, so the passes reuse heap memory;
+#: at 2^16 draws (512 KiB) every pass would map, page-fault and unmap its
+#: temporaries afresh. Draws are independent, so the block size does not
+#: change a single bit of the output.
+_SAMPLER_BLOCK = 1 << 13
 
 #: Newton stops on a draw once its step (or its bracket) is below this.
 _NEWTON_TOL = 1e-14
@@ -101,8 +106,16 @@ def _horner_exact(coeffs, x: Fraction) -> Fraction:
     return acc
 
 
+class _SampledLaw:
+    """Holds a law's sampler table (:func:`_inverse_table`), built once."""
+
+    @cached_property
+    def _sampler_table(self):
+        return _inverse_table(self)
+
+
 @dataclass(frozen=True)
-class PolynomialCdf:
+class PolynomialCdf(_SampledLaw):
     """CDF F(x) = sum_i coeffs[i] * x^i on [0, 1].
 
     Invariants (enforced by :func:`validate`, which is the intended
@@ -134,7 +147,7 @@ class PolynomialCdf:
 
 
 @dataclass(frozen=True)
-class PiecewisePolynomialCdf:
+class PiecewisePolynomialCdf(_SampledLaw):
     """Continuous piecewise-polynomial CDF on [0, 1].
 
     ``breakpoints`` are increasing, starting at 0 and ending at 1;
@@ -588,7 +601,7 @@ def _newton_block(table, u: np.ndarray) -> np.ndarray:
 def inverse_cdf_array(dist, u: np.ndarray) -> np.ndarray:
     """Vectorized :func:`inverse_cdf` for Monte Carlo draws.
 
-    F is tabulated once per call (:func:`_inverse_table`); each draw then
+    F is tabulated once per law (:func:`_inverse_table`); each draw then
     finds its cell through a guide table and solves F(x) = u there by
     safeguarded Newton on the law's own polynomial piece, to about an ulp
     of x. Draws are handled ``_SAMPLER_BLOCK`` at a time, which keeps the
@@ -601,7 +614,7 @@ def inverse_cdf_array(dist, u: np.ndarray) -> np.ndarray:
     out = np.where(flat >= 1.0, 1.0, 0.0)
     inside = np.flatnonzero((flat > dist.atom) & (flat < 1.0))
     if inside.size:
-        table = _inverse_table(dist)
+        table = dist._sampler_table
         for first in range(0, inside.size, _SAMPLER_BLOCK):
             at = inside[first : first + _SAMPLER_BLOCK]
             out[at] = _newton_block(table, flat[at])

@@ -54,6 +54,13 @@ _CHUNK = 1 << 20
 #: Steps per block of the recursion's blocked scan.
 _SCAN_BLOCK = 512
 
+#: Distinct sample values per block of :func:`ks_distance`'s reference CDF
+#: evaluation. The temporaries are then 64 KiB, below glibc's default
+#: 128 KiB mmap threshold, so the blocks reuse heap memory; one pass over
+#: the ~6e5 distinct values of a 10^6-step sample would fault in tens of
+#: MB afresh.
+_KS_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class GridCdf:
@@ -146,18 +153,23 @@ def precompute_kernel(dist, svc: ExponentialService, grid_size: int = DEFAULT_GR
     return total
 
 
-def stieltjes_weights(values: np.ndarray) -> np.ndarray:
-    """Trapezoidal Riemann–Stieltjes weights of a grid CDF.
+def stieltjes_weights(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Trapezoidal Riemann–Stieltjes weights of a grid CDF, into ``out`` if given.
 
     The atom at 0 (values[0]) integrates at full weight; the continuous
-    increments are shared trapezoidally between neighboring nodes.
+    increments are shared trapezoidally between neighboring nodes. The
+    increments are taken in ``out[1:]`` and paired there in place.
     """
-    delta = np.diff(values)
-    w = np.empty_like(values)
-    w[0] = values[0] + (delta[0] / 2.0 if delta.size else 0.0)
-    if delta.size:
-        w[1:-1] = (delta[:-1] + delta[1:]) / 2.0
-        w[-1] = delta[-1] / 2.0
+    w = np.empty_like(values) if out is None else out
+    if values.size == 1:
+        w[0] = values[0]
+        return w
+    np.subtract(values[1:], values[:-1], out=w[1:])
+    w[0] = values[0] + w[1] / 2.0
+    last = w[-1] / 2.0
+    np.add(w[1:-1], w[2:], out=w[1:-1])
+    np.divide(w[1:-1], 2.0, out=w[1:-1])
+    w[-1] = last
     return w
 
 
@@ -177,25 +189,38 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
-    """Real FFT of the kernel extended by 1 beyond the unit interval.
+class _ContractionMap:
+    """:func:`apply_map` for one kernel, applied in buffers allocated once.
 
-    Any length >= 2g + 1 keeps :func:`_apply_spectrum`'s slice free of
-    wrap-around. At the length scipy's fftconvolve picks for the full
-    (3g + 1)-entry convolution the sums round as that reference's do, so
-    frozen oracle values hold bitwise.
+    The kernel is transformed once. Any FFT length >= 2g + 1 keeps the
+    slice that is kept free of wrap-around; at the length scipy's
+    fftconvolve picks for the full (3g + 1)-entry convolution the sums round
+    as that reference's do, so frozen oracle values hold bitwise. Every
+    application writes into the same arrays: at g = 2^14 they are 131,080 B
+    or more, over glibc's default 128 KiB mmap threshold, so fresh ones
+    would be mapped, faulted in and unmapped on every iteration (the FFTs'
+    ``out=`` needs numpy 2.0).
     """
-    g = kernel.size - 1
-    return np.fft.rfft(np.concatenate([kernel, np.ones(g)]), _fast_len(3 * g + 1))
 
+    def __init__(self, kernel: np.ndarray):
+        g = kernel.size - 1
+        n = _fast_len(3 * g + 1)
+        self.spectrum = np.fft.rfft(np.concatenate([kernel, np.ones(g)]), n)
+        self.reversed_weights = np.empty(g + 1)
+        self.product = np.empty_like(self.spectrum)
+        self.full = np.empty(n)
 
-def _apply_spectrum(spectrum: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """:func:`apply_map` with the kernel's transform already taken."""
-    g = values.size - 1
-    n = _fast_len(3 * g + 1)
-    w = stieltjes_weights(values)
-    out = np.fft.irfft(np.fft.rfft(w[::-1], n) * spectrum, n)[g : 2 * g + 1]
-    return np.minimum(np.maximum.accumulate(np.maximum(out, 0.0)), 1.0)
+    def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """T applied to grid values, re-monotonized and clipped to [0, 1]
+        (absorbing FFT roundoff, ~1e-15), written into ``out``."""
+        g = values.size - 1
+        stieltjes_weights(values, out=self.reversed_weights[::-1])
+        np.fft.rfft(self.reversed_weights, self.full.size, out=self.product)
+        self.product *= self.spectrum
+        np.fft.irfft(self.product, self.full.size, out=self.full)
+        np.maximum(self.full[g : 2 * g + 1], 0.0, out=out)
+        np.maximum.accumulate(out, out=out)
+        return np.minimum(out, 1.0, out=out)
 
 
 def apply_map(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -206,14 +231,15 @@ def apply_map(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     output is re-monotonized and clipped to [0, 1], absorbing FFT roundoff
     (~1e-15).
     """
-    return _apply_spectrum(_kernel_spectrum(kernel), values)
+    return _ContractionMap(kernel)(values, np.empty_like(values))
 
 
 def fixed_point_solve(problem: FixedPointProblem) -> tuple[GridCdf, int]:
     """Iterate the contraction map to its fixed point on the grid.
 
     Starts from F = 1 and stops when the sup change drops below the
-    problem's tolerance. The kernel is transformed once per solve. The
+    problem's tolerance. The kernel is transformed once per solve, and the
+    iterates live in buffers allocated once (:class:`_ContractionMap`). The
     geometric rate P[B > A] = 1 - L, L = E[e^{-mu B}], caps the iteration
     count a priori at log(tol) / log1p(-L), finite even where P[B > A] rounds
     to 1 (an L of 0.0 is an :class:`InputError`); exceeding the cap (plus
@@ -223,13 +249,14 @@ def fixed_point_solve(problem: FixedPointProblem) -> tuple[GridCdf, int]:
     if laplace == 0.0:
         raise InputError(f"E[exp(-mu B)] underflows to 0 at mu = {problem.service.rate!r}")
     cap = math.ceil(math.log(problem.tolerance) / math.log1p(-laplace)) + 10
-    kernel = precompute_kernel(problem.dist, problem.service, problem.grid_size)
-    spectrum = _kernel_spectrum(kernel)
+    step = _ContractionMap(precompute_kernel(problem.dist, problem.service, problem.grid_size))
     values = np.ones(problem.grid_size + 1)
+    updated, gap = np.empty((2, values.size))
     for iteration in range(1, cap + 1):
-        updated = _apply_spectrum(spectrum, values)
-        change = float(np.max(np.abs(updated - values)))
-        values = updated
+        step(values, updated)
+        np.abs(np.subtract(updated, values, out=gap), out=gap)
+        change = float(np.max(gap))
+        values, updated = updated, values
         if change < problem.tolerance:
             return GridCdf(problem.grid_size, values), iteration
     raise NonConvergence(
@@ -359,7 +386,8 @@ def simulate(
         x = inverse_cdf_array(dist, rng.random(size=block))
         x -= rng.exponential(scale=1.0 / svc.rate, size=block)
         wait = _recurse(x, wait, path[start : start + block])
-    samples = np.sort(path[warmup:])
+    samples = path[warmup:]
+    samples.sort()
     zeros = int(np.searchsorted(samples, 0.0, side="right"))
     return SimulationResult(
         samples=samples,
@@ -377,15 +405,26 @@ def ks_distance(samples: np.ndarray, reference) -> float:
     empirical CDF jumps by the tie multiplicity there, and the reference is
     allowed its own atom at 0 (the waiting-time law has one), where its
     left limit is 0. The classical tie-blind formula would report the atom
-    mass itself as the distance.
+    mass itself as the distance. Sorted samples (as :func:`simulate`
+    returns them) are read in place; the reference is evaluated
+    ``_KS_BLOCK`` distinct values at a time.
     """
-    samples = np.sort(np.asarray(samples, dtype=float))
+    samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("need a nonempty sample")
+    if not np.all(samples[:-1] <= samples[1:]):
+        samples = np.sort(samples)
     ref = reference.cdf if hasattr(reference, "cdf") else reference
-    vals, counts = np.unique(samples, return_counts=True)
-    hi = np.cumsum(counts) / samples.size
-    lo = hi - counts / samples.size
-    at = np.asarray(ref(vals), dtype=float)
-    left = np.where(vals > 0.0, at, 0.0)
-    return float(max(np.max(np.abs(hi - at)), np.max(np.abs(lo - left))))
+    # the last index of each run of equal values, and the run's length
+    ends = np.append(np.flatnonzero(samples[1:] != samples[:-1]), samples.size - 1)
+    counts = np.diff(ends, prepend=-1)
+    gaps = []
+    for first in range(0, ends.size, _KS_BLOCK):
+        block = slice(first, first + _KS_BLOCK)
+        vals = samples[ends[block]]
+        hi = (ends[block] + 1) / samples.size
+        lo = hi - counts[block] / samples.size
+        at = np.asarray(ref(vals), dtype=float)
+        left = np.where(vals > 0.0, at, 0.0)
+        gaps += [np.max(np.abs(hi - at)), np.max(np.abs(lo - left))]
+    return float(np.max(gaps))

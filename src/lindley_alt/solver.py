@@ -42,13 +42,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial import Chebyshev
 
 from ._exact import EXTENDED_DEGREE, exact_char, exact_nu, safe_float
 from ._moments import _anchored_moments, _moments
-from ._numeric import DOUBLE, EXTENDED, context_of
+from ._numeric import DOUBLE, context_of
 from .distributions import (
     ExponentialService,
     PolynomialCdf,
@@ -261,8 +260,8 @@ def find_roots(char_poly) -> np.ndarray:
     # seeds: the even coefficients, ascending in s = r^2, rescaled by a power
     # of two (exact, roots unchanged) so their double image stays in range
     even = char_poly[0::2]
-    shift = mp.frexp(max(abs(a) for a in even))[1]
-    s_roots = np.roots([float(mp.ldexp(a, -shift)) for a in reversed(even)])
+    shift = ctx.frexp(max(abs(a) for a in even))[1]
+    s_roots = np.roots([float(ctx.ldexp(a, -shift)) for a in reversed(even)])
     # the closed form assumes simple roots, and a doubled root also defeats
     # the polish that follows
     for i in range(s_roots.size):
@@ -454,9 +453,13 @@ def _context(n: int):
     The weight sums, characteristic cross products and row assembly cancel
     to ~log10(n!) digits; past the measured cliff every stage after the
     exact weights runs in extended precision and is rounded to double once,
-    at the end.
+    at the end. mpmath is imported only here, on the first such solve.
     """
-    return EXTENDED if n > EXTENDED_DEGREE else DOUBLE
+    if n <= EXTENDED_DEGREE:
+        return DOUBLE
+    from ._extended import EXTENDED
+
+    return EXTENDED
 
 
 def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:

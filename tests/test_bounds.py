@@ -9,6 +9,7 @@ test_distributions::test_matches_quadrature.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from lindley_alt.distributions import (
     ExponentialService,
     prob_B_greater_A,
     triangular_cdf,
+    validate,
 )
 from lindley_alt.errors import InputError
 from lindley_alt.oracle import FixedPointProblem, fixed_point_solve
@@ -87,6 +89,19 @@ class TestContraction:
         monkeypatch.setattr(bounds_module, "fit_report", no_fit)
         with pytest.raises(InputError, match="rounds to 1"):
             certify_approximation(validate([0.0] * 20 + [1.0]), 20, ExponentialService(100.0))
+
+    def test_certificate_divides_by_laplace_transform(self):
+        # x^20 at mu = 30: L = E[e^{-mu B}] = 20 gamma(20, 30) / 30^20 = 6.8e-12,
+        # which 1 - (1 - L) would keep only to a relative 1.8e-7
+        cert = certify_approximation(
+            validate([0.0] * 20 + [1.0]), 4, ExponentialService(30.0), grid_size=256
+        )
+        with mpmath.workdps(40):
+            laplace = float(20 * mpmath.gammainc(20, 0, 30) / mpmath.mpf(30) ** 20)
+        report = cert.report
+        assert report.alternate_constant == pytest.approx(laplace, rel=1e-13)
+        assert report.certified_bound == pytest.approx(report.epsilon / laplace, rel=1e-13)
+        assert report.alternate_bound == report.epsilon / report.contraction
 
 
 @pytest.fixture(scope="module")

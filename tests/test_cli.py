@@ -440,6 +440,28 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.stdout.strip() == "[]"
 
 
+def test_double_path_never_imports_mpmath(capsys):
+    # mpmath loads only for a solve above degree 12, and such a solve then
+    # prints what the same solve prints in this process
+    script = """
+import contextlib, io, sys
+from lindley_alt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--dist", "triangular", "--order", "12"]) == 0
+print("mpmath" in sys.modules)
+assert main(["solve", "--dist", "triangular", "--order", "16"]) == 0
+print("mpmath" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, solved, after = proc.stdout.splitlines(keepends=True)
+    assert (before, after) == ("False\n", "True\n")
+    assert main(["solve", "--dist", "triangular", "--order", "16"]) == 0
+    assert capsys.readouterr().out == solved
+
+
 def test_library_never_imports_scipy():
     # scipy is a test-only dependency: no module of the package imports it
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "lindley_alt"

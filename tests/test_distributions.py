@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_polynomial_cdf
+from lindley_alt import distributions
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
     ExponentialService,
@@ -281,6 +282,33 @@ class TestSampling:
                     root, slope = _mp_inverse(law, ui)
                     if slope > 1e-6:
                         assert abs(xi - root) <= 2e-13
+
+    def test_scalar_calls_build_one_table_per_law(self, monkeypatch, triangular):
+        builds = []
+        build = distributions._inverse_table
+        monkeypatch.setattr(
+            distributions, "_inverse_table", lambda dist: builds.append(dist) or build(dist)
+        )
+        law = bernstein_fit(triangular, 5)
+        u = np.linspace(0.01, 0.99, 23)
+        scalar = [inverse_cdf(law, float(ui)) for ui in u]
+        rng = np.random.default_rng(5)
+        draws = [sample(law, rng) for _ in range(10)]
+        assert len(builds) == 1
+        # an equal law builds its own table and draws the same values
+        fresh = bernstein_fit(triangular, 5)
+        assert np.array_equal(inverse_cdf_array(fresh, u), scalar)
+        rng = np.random.default_rng(5)
+        assert [sample(fresh, rng) for _ in range(10)] == draws
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("block", [7, 1000, 1 << 16])
+    def test_block_size_does_not_change_draws(self, monkeypatch, triangular, block):
+        law = bernstein_fit(triangular, 12)
+        u = np.random.default_rng(9).random(5000)
+        want = inverse_cdf_array(law, u)
+        monkeypatch.setattr(distributions, "_SAMPLER_BLOCK", block)
+        assert np.array_equal(inverse_cdf_array(law, u), want)
 
     def test_sample_is_in_support(self, triangular):
         rng = np.random.default_rng(5)

@@ -158,11 +158,44 @@ class TestFixedPoint:
             values = apply_map(kernel, values)
         assert np.array_equal(grid.values, values)
 
+    @pytest.mark.parametrize("mu", [0.3, 4.0])
+    def test_solve_matches_allocating_loop_bitwise(self, triangular, mu):
+        # the solve iterates in buffers allocated once; the reference loop
+        # builds every array afresh, with the same stopping rule
+        svc = ExponentialService(mu)
+        problem = FixedPointProblem(triangular, svc, grid_size=2**10)
+        grid, iterations = fixed_point_solve(problem)
+        kernel = precompute_kernel(triangular, svc, problem.grid_size)
+        values = np.ones(problem.grid_size + 1)
+        for count in range(1, 1000):
+            updated = _allocating_map(kernel, values)
+            change = float(np.max(np.abs(updated - values)))
+            values = updated
+            if change < problem.tolerance:
+                break
+        assert count == iterations
+        assert np.array_equal(grid.values, values)
+        assert np.array_equal(apply_map(kernel, values), _allocating_map(kernel, values))
+
     def test_problem_validation(self, svc1, uniform):
         with pytest.raises(ValueError):
             FixedPointProblem(uniform, svc1, grid_size=1000)  # not a power of two
         with pytest.raises(ValueError):
             FixedPointProblem(uniform, svc1, tolerance=1.5)
+
+
+def _allocating_map(kernel, values):
+    """The contraction map as a chain of fresh arrays, weights included."""
+    g = values.size - 1
+    n = _fast_len(3 * g + 1)
+    delta = np.diff(values)
+    w = np.empty_like(values)
+    w[0] = values[0] + delta[0] / 2.0
+    w[1:-1] = (delta[:-1] + delta[1:]) / 2.0
+    w[-1] = delta[-1] / 2.0
+    spectrum = np.fft.rfft(np.concatenate([kernel, np.ones(g)]), n)
+    out = np.fft.irfft(np.fft.rfft(w[::-1], n) * spectrum, n)[g : 2 * g + 1]
+    return np.minimum(np.maximum.accumulate(np.maximum(out, 0.0)), 1.0)
 
 
 class TestGridCdf:
@@ -335,8 +368,32 @@ class TestKsDistance:
         with pytest.raises(ValueError):
             ks_distance(np.array([]), uniform_cdf())
 
+    @pytest.mark.parametrize("block", [100, 1 << 13])
+    def test_matches_unique_formula(self, monkeypatch, block):
+        # unsorted, with ties and an atom at 0; 17k distinct values cross
+        # blocks of either size
+        monkeypatch.setattr(oracle, "_KS_BLOCK", block)
+        rng = np.random.default_rng(21)
+        samples = np.round(rng.random(40_000), 5)
+        samples[rng.random(samples.size) < 0.3] = 0.0
+        ref = validate([0.3, 0.7])
+        want = _ks_unique(samples, ref.cdf)
+        assert ks_distance(samples, ref) == want
+        assert ks_distance(np.sort(samples), ref) == want
+
     def test_perfect_grid_sample_small_distance(self):
         # quantile-spaced samples of the uniform law keep D at 1/(2n)
         n = 50
         samples = (np.arange(n) + 0.5) / n
         assert ks_distance(samples, uniform_cdf()) == pytest.approx(0.5 / n, abs=1e-12)
+
+
+def _ks_unique(samples, cdf):
+    """The atom-aware KS distance through np.unique: the reference formula."""
+    samples = np.sort(samples)
+    vals, counts = np.unique(samples, return_counts=True)
+    hi = np.cumsum(counts) / samples.size
+    lo = hi - counts / samples.size
+    at = cdf(vals)
+    left = np.where(vals > 0.0, at, 0.0)
+    return float(max(np.max(np.abs(hi - at)), np.max(np.abs(lo - left))))
