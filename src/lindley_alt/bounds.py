@@ -37,7 +37,6 @@ from .distributions import ExponentialService, _laplace, _require_law
 from .errors import InputError, PostconditionViolation
 from .oracle import (
     DEFAULT_GRID,
-    DEFAULT_TOL,
     FixedPointProblem,
     GridCdf,
     density_estimate,
@@ -144,7 +143,6 @@ def certify_approximation(
     svc: ExponentialService,
     *,
     grid_size: int = DEFAULT_GRID,
-    tolerance: float = DEFAULT_TOL,
     reference: GridCdf | None = None,
 ) -> CertificationResult:
     """Fit, solve, cross-validate, and bound — the full certification run.
@@ -168,9 +166,7 @@ def certify_approximation(
     fit = fit_report(dist, order)
     solution = solve(fit.fitted, svc)
     if reference is None:
-        reference, _ = fixed_point_solve(
-            FixedPointProblem(dist, svc, grid_size=grid_size, tolerance=tolerance)
-        )
+        reference, _ = fixed_point_solve(FixedPointProblem(dist, svc, grid_size=grid_size))
     elif reference.grid_size != grid_size:
         raise ValueError(
             f"supplied reference has grid {reference.grid_size}, expected {grid_size}"

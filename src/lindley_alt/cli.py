@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bernstein import fit_report
+from .bernstein import bernstein_fit, fit_report
 from .bounds import certify_approximation
 from .distributions import (
     ExponentialService,
@@ -148,7 +148,7 @@ def _polynomial_law(config: RunConfig) -> PolynomialCdf:
     """The --dist law itself, or its Bernstein fit when --order is given."""
     dist = config.distribution()
     if config.order is not None:
-        return fit_report(dist, config.order).fitted
+        return bernstein_fit(dist, config.order)
     if not isinstance(dist, PolynomialCdf):
         raise InputError(
             f"{config.command} requires a polynomial CDF; fit non-polynomial "
@@ -168,15 +168,11 @@ def _sample_table(solution) -> list[tuple[float, float, float]]:
 
 def cmd_solve(config: RunConfig) -> int:
     solution = solve(_polynomial_law(config), config.service)
-    table = _sample_table(solution)
-    csv_text = _csv(table, header=("x", "f_W", "F_W"))
-    if config.fmt == "csv":
-        _emit(csv_text, config.out)
-    else:
+    if config.fmt == "json":
         json.dump(solution_summary(solution), sys.stdout)
         sys.stdout.write("\n")
-        if config.out is not None:
-            _emit(csv_text, config.out)
+    if config.fmt == "csv" or config.out is not None:
+        _emit(_csv(_sample_table(solution), header=("x", "f_W", "F_W")), config.out)
     return 0
 
 
@@ -325,7 +321,7 @@ def cmd_figure1(config: RunConfig) -> int:
     svc = ExponentialService(1.0)
     xs = np.arange(_TABLE_POINTS) / (_TABLE_POINTS - 1)
 
-    fits = {n: fit_report(tri, n).fitted for n in _BENCH_ORDERS}
+    fits = {n: bernstein_fit(tri, n) for n in _BENCH_ORDERS}
     solutions = {n: solve(fits[n], svc) for n in _BENCH_ORDERS}
 
     cdf_cols = [xs, eval_cdf(tri, xs)]

@@ -25,7 +25,7 @@ from numbers import Rational
 
 import numpy as np
 
-from ._moments import _moments
+from ._moments import moment_grid
 from .errors import InputError, NotACdf
 
 __all__ = [
@@ -382,37 +382,6 @@ def _piecewise_violations(breaks, polys) -> list[str]:
     return problems
 
 
-def _shifted_weighted_integral(coeffs, a: float, b: float, rate: float) -> float:
-    """integral_a^b p(t) * rate * e^{-rate*t} dt... without the rate factor.
-
-    Computes integral_a^b p(t) e^{-rate*t} dt for an ascending-coefficient
-    polynomial p via the substitution t = a + w*y (w = b - a), which keeps
-    every term positive-weighted and feeds the stable moment recurrence:
-
-        integral = e^{-rate*a} * sum_j p_j sum_i C(j,i) a^{j-i} w^{i+1} I_i(-rate*w)
-    """
-    w = b - a
-    if w <= 0.0:
-        return 0.0
-    jmax = len(coeffs) - 1
-    mom = _moments(jmax, complex(-rate * w))
-    total = 0.0
-    for j, pj in enumerate(coeffs):
-        if pj == 0.0:
-            continue
-        binom = 1.0
-        apow = a**j
-        inner = 0.0
-        wpow = w
-        for i in range(j + 1):
-            inner += binom * apow * wpow * mom[i].real
-            binom = binom * (j - i) / (i + 1)
-            apow = apow / a if a != 0.0 else (1.0 if i == j - 1 else 0.0)
-            wpow *= w
-        total += pj * inner
-    return math.exp(-rate * a) * total
-
-
 def _require_law(dist, where: str, kinds=(PolynomialCdf, PiecewisePolynomialCdf)) -> None:
     """Raise :class:`InputError` unless ``dist`` is one of the law types ``kinds``.
 
@@ -426,22 +395,60 @@ def _require_law(dist, where: str, kinds=(PolynomialCdf, PiecewisePolynomialCdf)
         )
 
 
-def _laplace(dist, rate: float) -> float:
-    """E[e^{-rate*B}] in closed form: the atom plus the density integrated
-    against the exponential weight by the stable moment recurrence."""
-    _require_law(dist, "prob_B_greater_A")
-    laplace = dist.atom
+def _recentered_coeffs(coeffs, k: int):
+    """Coefficients of s^k in p(lo + s): gamma_k(lo) = sum_{i>=k} c_i C(i,k) lo^{i-k}.
+
+    Returned as a descending-power coefficient list in lo, ready for polyval.
+    """
+    deg = len(coeffs) - 1
+    return [coeffs[i] * math.comb(i, k) for i in range(deg, k - 1, -1)]
+
+
+def _service_kernel(dist, rate: float, u: np.ndarray) -> np.ndarray:
+    """H(u) = E[F_B(u + A)] for A ~ Exp(rate), in closed form at points u of [0, 1].
+
+    The package's one integral of a law against the exponential service.
+    The expectation splits at each polynomial breakpoint of F_B and at the
+    point where u + A leaves [0, 1]; each piece reduces to the stable
+    exponential-moment recurrence. No quadrature. H(0) = E[F_B(A)] =
+    P[B <= A] = E[e^{-rate*B}], and its bits do not depend on the other
+    points asked for: u = 0 has every piece's widest window, so it sets
+    :func:`moment_grid`'s downward start wherever it takes that pass.
+    """
+    total = np.exp(-rate * (1.0 - u))  # mass where u + A lands past 1
     for a, b, coeffs in dist.segments():
-        laplace += _shifted_weighted_integral(_derivative_coeffs(coeffs), a, b, rate)
-    return laplace
+        mask = u < b
+        if not np.any(mask):
+            continue
+        um = u[mask]
+        lo = np.maximum(um, a)
+        width = b - lo
+        deg = len(coeffs) - 1
+        mom = moment_grid(deg, -rate * width)
+        inner = np.zeros_like(um)
+        wpow = width
+        for k in range(deg + 1):
+            gamma = np.polyval(_recentered_coeffs(coeffs, k), lo)
+            inner += gamma * wpow * mom[k]
+            wpow = wpow * width
+        total[mask] += rate * np.exp(-rate * (lo - um)) * inner
+    return total
+
+
+def _laplace(dist, rate: float) -> float:
+    """L = E[e^{-rate*B}], read off the service kernel as H(0) = E[F_B(A)]."""
+    _require_law(dist, "prob_B_greater_A")
+    return float(_service_kernel(dist, rate, np.zeros(1))[0])
 
 
 def prob_B_greater_A(dist, svc: ExponentialService) -> float:
     """P[B > A]: the chance preparation outlasts an exponential service.
 
-    Computed in closed form as 1 - E[e^{-rate*B}] (no quadrature). Strictly
-    inside (0, 1) for every valid, nondegenerate distribution, though it
-    rounds to 1 once E[e^{-rate*B}] is below half an ulp of 1.
+    Computed as 1 - L with L = E[e^{-rate*B}] the service kernel's
+    H(0) = E[F_B(A)], by the same closed form the fixed-point oracle
+    tabulates (no quadrature). Strictly inside (0, 1) for every valid,
+    nondegenerate distribution, though it rounds to 1 once L is below half
+    an ulp of 1.
     """
     return 1.0 - _laplace(dist, svc.rate)
 

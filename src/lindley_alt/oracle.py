@@ -23,8 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ExponentialService, _laplace, _require_law, inverse_cdf_array
-from ._moments import moment_grid
+from .distributions import (
+    ExponentialService,
+    _require_law,
+    _service_kernel,
+    inverse_cdf_array,
+)
 from .errors import InputError, NonConvergence
 
 __all__ = [
@@ -115,42 +119,15 @@ class FixedPointProblem:
             raise ValueError("tolerance must lie in (0, 1)")
 
 
-def _recentered_coeffs(coeffs, k: int):
-    """Coefficients of s^k in p(lo + s): gamma_k(lo) = sum_{i>=k} c_i C(i,k) lo^{i-k}.
-
-    Returned as a descending-power coefficient list in lo, ready for polyval.
-    """
-    deg = len(coeffs) - 1
-    return [coeffs[i] * math.comb(i, k) for i in range(deg, k - 1, -1)]
-
-
 def precompute_kernel(dist, svc: ExponentialService, grid_size: int = DEFAULT_GRID) -> np.ndarray:
     """Closed-form table of H(u) = E[F_B(u + A)] at u = 0, 1/g, ..., 1.
 
-    Splits the expectation at each polynomial breakpoint of the preparation
-    CDF and at the point where u + A leaves [0, 1]; each piece reduces to
-    the stable exponential-moment recurrence. No quadrature.
+    Evaluates the package's one closed form for the law against the
+    exponential service (:func:`~lindley_alt.distributions._service_kernel`)
+    on the grid. Its first entry H(0) = E[F_B(A)] is L = E[e^{-mu B}] =
+    1 - P[B > A], the same bits :func:`prob_B_greater_A` reads.
     """
-    mu = svc.rate
-    u = np.arange(grid_size + 1) / grid_size
-    total = np.exp(-mu * (1.0 - u))  # mass where u + A lands past 1
-    for a, b, coeffs in dist.segments():
-        mask = u < b
-        if not np.any(mask):
-            continue
-        um = u[mask]
-        lo = np.maximum(um, a)
-        width = b - lo
-        deg = len(coeffs) - 1
-        mom = moment_grid(deg, -mu * width)
-        inner = np.zeros_like(um)
-        wpow = width
-        for k in range(deg + 1):
-            gamma = np.polyval(_recentered_coeffs(coeffs, k), lo)
-            inner += gamma * wpow * mom[k]
-            wpow = wpow * width
-        total[mask] += mu * np.exp(-mu * (lo - um)) * inner
-    return total
+    return _service_kernel(dist, svc.rate, np.arange(grid_size + 1) / grid_size)
 
 
 def stieltjes_weights(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -240,16 +217,18 @@ def fixed_point_solve(problem: FixedPointProblem) -> tuple[GridCdf, int]:
     Starts from F = 1 and stops when the sup change drops below the
     problem's tolerance. The kernel is transformed once per solve, and the
     iterates live in buffers allocated once (:class:`_ContractionMap`). The
-    geometric rate P[B > A] = 1 - L, L = E[e^{-mu B}], caps the iteration
-    count a priori at log(tol) / log1p(-L), finite even where P[B > A] rounds
-    to 1 (an L of 0.0 is an :class:`InputError`); exceeding the cap (plus
-    slack) raises :class:`NonConvergence`.
+    geometric rate P[B > A] = 1 - L, with L = E[e^{-mu B}] read off the
+    kernel as H(0), caps the iteration count a priori at
+    log(tol) / log1p(-L), finite even where P[B > A] rounds to 1 (an L of
+    0.0 is an :class:`InputError`); exceeding the cap (plus slack) raises
+    :class:`NonConvergence`.
     """
-    laplace = _laplace(problem.dist, problem.service.rate)
+    kernel = precompute_kernel(problem.dist, problem.service, problem.grid_size)
+    laplace = float(kernel[0])  # H(0) = E[F_B(A)] = L
     if laplace == 0.0:
         raise InputError(f"E[exp(-mu B)] underflows to 0 at mu = {problem.service.rate!r}")
     cap = math.ceil(math.log(problem.tolerance) / math.log1p(-laplace)) + 10
-    step = _ContractionMap(precompute_kernel(problem.dist, problem.service, problem.grid_size))
+    step = _ContractionMap(kernel)
     values = np.ones(problem.grid_size + 1)
     updated, gap = np.empty((2, values.size))
     for iteration in range(1, cap + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -77,13 +78,33 @@ def random_polynomial_cdf(rng, max_degree: int = 10, atom_allowed: bool = True) 
     return validate(out)
 
 
-def random_piecewise_cdf(rng, max_pieces: int = 4) -> PiecewisePolynomialCdf:
+def gammainc_contraction(coeffs, mu: float) -> float:
+    """P[B > A] = 1 - L for F = sum_k c_k x^k, summed at 60 digits.
+
+    L = e^-mu + mu sum_k c_k gamma(k+1, mu) / mu^(k+1), with the float
+    coefficients taken exactly, so cancellation among large c_k costs
+    nothing.
+    """
+    with mpmath.workdps(60):
+        m = mpmath.mpf(mu)
+        laplace = mpmath.exp(-m) + m * mpmath.fsum(
+            mpmath.mpf(c) * mpmath.gammainc(k + 1, 0, m) / m ** (k + 1)
+            for k, c in enumerate(coeffs)
+        )
+        return float(1 - laplace)
+
+
+def random_piecewise_cdf(
+    rng, max_pieces: int = 4, pieces: int | None = None
+) -> PiecewisePolynomialCdf:
     """A random continuous piecewise-quadratic CDF on [0, 1] (no atom).
 
     Built by integrating a piecewise-linear nonnegative density over random
-    breakpoints, so continuity and monotonicity hold by construction.
+    breakpoints, so continuity and monotonicity hold by construction. The
+    number of pieces is drawn from 1..max_pieces unless ``pieces`` fixes it.
     """
-    pieces = int(rng.integers(1, max_pieces + 1))
+    if pieces is None:
+        pieces = int(rng.integers(1, max_pieces + 1))
     widths = rng.dirichlet(np.ones(pieces)) + 0.05
     widths /= widths.sum()
     breaks = np.concatenate([[0.0], np.cumsum(widths)])

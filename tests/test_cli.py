@@ -16,7 +16,10 @@ import sys
 
 import pytest
 
+from conftest import gammainc_contraction
+from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.cli import RunConfig, main
+from lindley_alt.distributions import triangular_cdf
 from lindley_alt.errors import ConvergenceFailure, InputError
 
 #: x^20: P[B > A] rounds to 1 at mu = 100.
@@ -111,6 +114,17 @@ class TestSolveCommand:
         assert float(last[1]) == pytest.approx(0.0, abs=1e-9)  # f_W(1) = 0
         assert float(last[2]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_default_json_builds_no_table(self, capsys, monkeypatch):
+        # the 1025-row table is built only where it is written (csv or --out)
+        import lindley_alt.cli as cli_module
+
+        def no_table(solution):
+            raise AssertionError("solve built a table it does not write")
+
+        monkeypatch.setattr(cli_module, "_sample_table", no_table)
+        assert main(["solve", "--dist", "triangular", "--order", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["mu"] == 1.0
+
     def test_order_flag_fits_first(self, capsys):
         rc = main(["solve", "--dist", "triangular", "--order", "3"])
         assert rc == 0
@@ -172,6 +186,17 @@ class TestBoundCommand:
         assert payload["measured_cdf_gap"] < payload["certified_bound"]
         assert payload["order"] == 1
         assert payload["mu"] == 1.0
+
+    def test_contraction_of_order_40_fit(self, capsys):
+        # the order-40 fit's monomial coefficients cancel
+        coeffs = bernstein_fit(triangular_cdf(), 40).coeffs
+        spec = json.dumps({"type": "polynomial", "coeffs": list(coeffs)})
+        rc = main(["bound", "--dist", spec, "--order", "5", "--mu", "0.001", "--grid", "1024"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = gammainc_contraction(coeffs, 0.001)
+        assert payload["contraction"] == pytest.approx(want, rel=1e-3)
+        assert payload["alternate_bound"] == payload["epsilon"] / payload["contraction"]
 
     def test_requires_order(self, capsys):
         rc = main(["bound", "--dist", "triangular"])

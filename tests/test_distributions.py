@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_polynomial_cdf
+from conftest import gammainc_contraction, random_polynomial_cdf
 from lindley_alt import distributions
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
@@ -200,6 +200,15 @@ class TestProbBGreaterA:
             assert prob_B_greater_A(dist, ExponentialService(mu)) == pytest.approx(
                 float(1 - want), rel=1e-13
             )
+
+
+    @pytest.mark.parametrize("order, rel", [(16, 1e-6), (24, 1e-6), (32, 1e-6), (40, 1e-3)])
+    def test_high_order_fits_match_gammainc(self, order, rel):
+        # the fits' monomial coefficients cancel (|c_k| reaches 5e12 at order 40)
+        fit = bernstein_fit(triangular_cdf(), order)
+        for mu in (1e-3, 3e-3, 0.1, 1.0, 4.0, 30.0, 1e3):
+            want = gammainc_contraction(fit.coeffs, mu)
+            assert prob_B_greater_A(fit, ExponentialService(mu)) == pytest.approx(want, rel=rel)
 
 
 class TestPlainCallables:

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import random_piecewise_cdf
 from lindley_alt import oracle
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
     ExponentialService,
     PiecewisePolynomialCdf,
+    _laplace,
     eval_cdf,
     inverse_cdf_array,
     prob_B_greater_A,
@@ -67,6 +69,20 @@ class TestKernel:
     def test_monotone_in_u(self, svc1, triangular):
         kernel = precompute_kernel(triangular, svc1, 512)
         assert np.all(np.diff(kernel) >= -1e-15)
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.3, 1.0, 17.0, 1e3])
+    def test_value_at_zero_is_the_laplace_transform_bitwise(self, mu, uniform, triangular):
+        # L = E[e^{-mu B}] is H(0) of the one closed form, whatever the grid
+        svc = ExponentialService(mu)
+        laws = (
+            triangular,
+            uniform,
+            random_piecewise_cdf(np.random.default_rng(4), pieces=3),
+            bernstein_fit(triangular, 12),
+        )
+        for dist in laws:
+            for g in (2, 2**10, 2**14):
+                assert _laplace(dist, mu) == precompute_kernel(dist, svc, g)[0]
 
 
 class TestFixedPoint:
