@@ -17,8 +17,20 @@ Public surface:
 * :mod:`lindley_alt.oracle` — fixed-point and Monte Carlo references;
 * :mod:`lindley_alt.bounds` — certified error bounds;
 * :mod:`lindley_alt.cli` — the `lindley-alt` command-line tool.
+
+Every name in ``__all__`` can be imported from the package itself. Only the
+error types (pure Python) and ``__version__`` load with it; every other name
+is imported from its home module on first use (PEP 562), so
+``import lindley_alt`` loads no numpy. The CLI loads layers per command in
+the same way: ``fit`` loads distributions and bernstein, ``solve`` adds the
+solver, ``figure1`` adds the oracles as well, and ``bound``, ``table1`` and
+``verify`` load every layer, the bounds included. ``--version``, ``--help``
+and usage errors load none of them and no numpy.
 """
 
+from importlib import import_module
+
+from . import errors
 from .errors import (
     AsymmetryDetected,
     ConvergenceFailure,
@@ -34,104 +46,64 @@ from .errors import (
     PostconditionViolation,
     RepeatedRoot,
 )
-from .distributions import (
-    ExponentialService,
-    PiecewisePolynomialCdf,
-    PolynomialCdf,
-    eval_cdf,
-    eval_density,
-    inverse_cdf,
-    parse_distribution_spec,
-    prob_B_greater_A,
-    sample,
-    triangular_cdf,
-    uniform_cdf,
-    validate,
-)
-from .solver import (
-    WaitingTimeSolution,
-    eval_waiting_cdf,
-    eval_waiting_density,
-    integral_equation_residual,
-    solution_summary,
-    solve,
-)
-from .bernstein import FitReport, bernstein_fit, fit_report, sup_distance
-from .oracle import (
-    FixedPointProblem,
-    GridCdf,
-    SimulationResult,
-    density_estimate,
-    fixed_point_solve,
-    ks_distance,
-    precompute_kernel,
-    simulate,
-)
-from .bounds import (
-    BoundReport,
-    CertificationResult,
-    certify_approximation,
-    waiting_error_bound,
-)
-from ._moments import exp_weighted_moment
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "LindleyAltError",
-    "InputError",
-    "NotACdf",
-    "OrderTooHigh",
-    "NumericalError",
-    "AsymmetryDetected",
-    "RepeatedRoot",
-    "ConvergenceFailure",
-    "PairingFailure",
-    "DegenerateMode",
-    "PostconditionViolation",
-    "NonConvergence",
-    "IllConditioned",
-    # distributions
-    "ExponentialService",
-    "PolynomialCdf",
-    "PiecewisePolynomialCdf",
-    "validate",
-    "eval_cdf",
-    "eval_density",
-    "inverse_cdf",
-    "sample",
-    "prob_B_greater_A",
-    "uniform_cdf",
-    "triangular_cdf",
-    "parse_distribution_spec",
-    # solver
-    "WaitingTimeSolution",
-    "solve",
-    "eval_waiting_cdf",
-    "eval_waiting_density",
-    "integral_equation_residual",
-    "solution_summary",
-    # fitting
-    "FitReport",
-    "bernstein_fit",
-    "fit_report",
-    "sup_distance",
-    # oracle
-    "GridCdf",
-    "FixedPointProblem",
-    "precompute_kernel",
-    "fixed_point_solve",
-    "density_estimate",
-    "simulate",
-    "SimulationResult",
-    "ks_distance",
-    # bounds
-    "BoundReport",
-    "CertificationResult",
-    "waiting_error_bound",
-    "certify_approximation",
-    # moments
-    "exp_weighted_moment",
-]
+#: Home module of every public name other than the error types.
+_LAZY = {
+    "distributions": (
+        "ExponentialService",
+        "PolynomialCdf",
+        "PiecewisePolynomialCdf",
+        "validate",
+        "eval_cdf",
+        "eval_density",
+        "inverse_cdf",
+        "sample",
+        "prob_B_greater_A",
+        "uniform_cdf",
+        "triangular_cdf",
+        "parse_distribution_spec",
+    ),
+    "solver": (
+        "WaitingTimeSolution",
+        "solve",
+        "eval_waiting_cdf",
+        "eval_waiting_density",
+        "integral_equation_residual",
+        "solution_summary",
+    ),
+    "bernstein": ("FitReport", "bernstein_fit", "fit_report", "sup_distance"),
+    "oracle": (
+        "GridCdf",
+        "FixedPointProblem",
+        "precompute_kernel",
+        "fixed_point_solve",
+        "density_estimate",
+        "simulate",
+        "SimulationResult",
+        "ks_distance",
+    ),
+    "bounds": (
+        "BoundReport",
+        "CertificationResult",
+        "waiting_error_bound",
+        "certify_approximation",
+    ),
+    "_moments": ("exp_weighted_moment",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = ["__version__", *errors.__all__, *_HOME]
+
+
+def __getattr__(name):
+    """Import a public name from its home module on first access (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

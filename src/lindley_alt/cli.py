@@ -33,31 +33,49 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from importlib import import_module
 
 from . import __version__
-from .bernstein import bernstein_fit, fit_report
-from .bounds import certify_approximation
-from .distributions import (
-    ExponentialService,
-    PolynomialCdf,
-    eval_cdf,
-    parse_distribution_spec,
-    triangular_cdf,
-)
 from .errors import InputError, NotACdf, NumericalError
-from .oracle import (
-    MIN_SIMULATION_STEPS,
-    FixedPointProblem,
-    density_estimate,
-    fixed_point_solve,
-    ks_distance,
-    simulate,
-)
-from .solver import eval_waiting_cdf, solution_summary, solve
 
 __all__ = ["RunConfig", "main"]
+
+#: The layer names the commands call, by home module. They are bound on
+#: this module when a command runs (:func:`_bind`, for the layers listed in
+#: ``_COMMANDS``) or on first attribute access, never at import, so a
+#: process loads only the layers its command calls.
+_LAYERS = {
+    "distributions": ("ExponentialService", "PolynomialCdf", "eval_cdf", "triangular_cdf"),
+    "bernstein": ("bernstein_fit", "fit_report"),
+    "solver": ("eval_waiting_cdf", "solution_summary", "solve"),
+    "oracle": ("FixedPointProblem", "density_estimate", "fixed_point_solve", "ks_distance",
+               "simulate"),
+    "bounds": ("certify_approximation",),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def _load(name: str):
+    return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
+
+
+def __getattr__(name):
+    """Bind a layer name on first access from outside (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = _load(name)
+    return value
+
+
+def _bind(layers) -> None:
+    """Bind the names of ``layers`` that are not bound yet; a value already
+    bound (a test's patch, a tracer's wrapper) is what the command calls."""
+    bound = globals()
+    for layer in layers:
+        for name in _LAYERS[layer]:
+            if name not in bound:
+                bound[name] = _load(name)
+
 
 #: Sample points in solve/figure CSV tables (2**10 + 1).
 _TABLE_POINTS = 1025
@@ -101,10 +119,15 @@ class RunConfig:
         g = self.grid
         if g < 2 or g & (g - 1) or g > 2**20:
             problems.append(f"grid must be a power of two in [2, 2^20], got {g}")
-        if not MIN_SIMULATION_STEPS <= self.samples <= 10**8:
-            problems.append(
-                f"samples must lie in [{MIN_SIMULATION_STEPS}, 1e8], got {self.samples}"
-            )
+        # the default lies in range, so only a --samples value loads the
+        # oracle for its floor
+        if self.samples != RunConfig.samples:
+            from .oracle import MIN_SIMULATION_STEPS
+
+            if not MIN_SIMULATION_STEPS <= self.samples <= 10**8:
+                problems.append(
+                    f"samples must lie in [{MIN_SIMULATION_STEPS}, 1e8], got {self.samples}"
+                )
         if self.seed < 0:
             problems.append(f"seed must be nonnegative, got {self.seed}")
         if self.fmt not in ("json", "csv"):
@@ -114,11 +137,15 @@ class RunConfig:
 
     @property
     def service(self) -> ExponentialService:
+        from .distributions import ExponentialService
+
         return ExponentialService(self.mu)
 
     def distribution(self):
         if self.dist is None:
             raise InputError(f"command {self.command!r} requires --dist")
+        from .distributions import parse_distribution_spec
+
         return parse_distribution_spec(self.dist)
 
 
@@ -130,9 +157,12 @@ def _fmt(x: float) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _csv(rows, header=None) -> str:
@@ -160,6 +190,8 @@ def _polynomial_law(config: RunConfig) -> PolynomialCdf:
 def _sample_table(solution) -> list[tuple[float, float, float]]:
     """(x, f_W, F_W) rows at 1025 equally spaced points of [0, 1]; the
     density series gives f_W(0+) at x = 0."""
+    import numpy as np
+
     xs = np.arange(_TABLE_POINTS) / (_TABLE_POINTS - 1)
     dens = solution.density_series(xs)
     cdf = eval_waiting_cdf(solution, xs)
@@ -168,11 +200,12 @@ def _sample_table(solution) -> list[tuple[float, float, float]]:
 
 def cmd_solve(config: RunConfig) -> int:
     solution = solve(_polynomial_law(config), config.service)
+    # the table goes first, so a --out that cannot be written leaves stdout empty
+    if config.fmt == "csv" or config.out is not None:
+        _emit(_csv(_sample_table(solution), header=("x", "f_W", "F_W")), config.out)
     if config.fmt == "json":
         json.dump(solution_summary(solution), sys.stdout)
         sys.stdout.write("\n")
-    if config.fmt == "csv" or config.out is not None:
-        _emit(_csv(_sample_table(solution), header=("x", "f_W", "F_W")), config.out)
     return 0
 
 
@@ -221,6 +254,8 @@ def _verify_checks(config: RunConfig):
     Yields (name, measured, threshold) triples; a check passes when
     measured < threshold.
     """
+    import numpy as np
+
     dist = _polynomial_law(config)
     svc = config.service
     solution = solve(dist, svc)
@@ -317,6 +352,8 @@ def cmd_table1(config: RunConfig) -> int:
 
 
 def cmd_figure1(config: RunConfig) -> int:
+    import numpy as np
+
     tri = triangular_cdf()
     svc = ExponentialService(1.0)
     xs = np.arange(_TABLE_POINTS) / (_TABLE_POINTS - 1)
@@ -365,18 +402,21 @@ _FLAGS = {
                "help": f"stdout payload format (default {RunConfig.fmt})"},
 }
 
-#: Each subcommand: its handler, help line, and the only flags it reads.
+#: Each subcommand: its handler, help line, the only flags it reads, and the
+#: layers (keys of _LAYERS) whose names it calls.
 _COMMANDS = {
     "solve": (cmd_solve, "exact solution for a polynomial preparation CDF",
-              ("dist", "mu", "order", "out", "format")),
+              ("dist", "mu", "order", "out", "format"), ("distributions", "bernstein", "solver")),
     "fit": (cmd_fit, "Bernstein approximant of a distribution spec",
-            ("dist", "order", "out", "format")),
+            ("dist", "order", "out", "format"), ("bernstein",)),
     "bound": (cmd_bound, "certified approximation error bound",
-              ("dist", "mu", "order", "grid", "out")),
+              ("dist", "mu", "order", "grid", "out"), ("bounds",)),
     "verify": (cmd_verify, "cross-check a spec (or table1 CSV on stdin)",
-               ("dist", "mu", "order", "grid", "samples", "seed", "out")),
-    "table1": (cmd_table1, "benchmark table: triangular, mu=1, n=1,5,10", ("out",)),
-    "figure1": (cmd_figure1, "benchmark figure data as two CSV files", ("out",)),
+               ("dist", "mu", "order", "grid", "samples", "seed", "out"), tuple(_LAYERS)),
+    "table1": (cmd_table1, "benchmark table: triangular, mu=1, n=1,5,10", ("out",),
+               ("distributions", "bounds")),
+    "figure1": (cmd_figure1, "benchmark figure data as two CSV files", ("out",),
+                ("distributions", "bernstein", "solver", "oracle")),
 }
 
 
@@ -388,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -406,7 +446,9 @@ def main(argv=None) -> int:
                 f"--out; got {', '.join('--' + k for k in sorted(extra))}"
             )
         config = RunConfig(**args)
-        return _COMMANDS[config.command][0](config)
+        handler, _, _, layers = _COMMANDS[config.command]
+        _bind(layers)
+        return handler(config)
     except NotACdf as exc:
         _print_error(exc, extra={"violations": list(exc.violations)})
         return 2

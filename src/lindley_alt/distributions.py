@@ -278,7 +278,10 @@ def _monotone_violation(coeffs, lo: float, hi: float) -> float | None:
     dcoeffs = _derivative_coeffs(coeffs)
     npts = max(8, int(_VALIDATION_GRID * (hi - lo)) + 1)
     xs = np.linspace(lo, hi, npts)
-    vals = _horner(dcoeffs, xs)
+    # coefficients near the float limit overflow to inf and nan here; nan
+    # compares false below, and such a law fails the other checks anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _horner(dcoeffs, xs)
     worst = float(np.min(vals))
     if worst < -DENSITY_TOL:
         return worst

@@ -360,6 +360,32 @@ class TestFigure1Command:
         assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestLayerBinding:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--dist", "uniform", "--order", "1"],
+            ["solve", "--dist", "triangular", "--order", "2", "--format", "csv"],
+            ["bound", "--dist", "uniform", "--order", "1", "--grid", "1024"],
+            ["verify", "--dist", "uniform", "--samples", "20000", "--grid", "1024"],
+            ["verify"],
+            ["table1"],
+            ["figure1", "--out", "{tmp}/fig"],
+        ],
+    )
+    def test_command_binds_every_layer_name_it_calls(
+        self, argv, table1_csv, tmp_path, capsys, monkeypatch
+    ):
+        # each command runs as in a fresh process: none of the lazily bound
+        # names is bound until main binds the layers listed for the command
+        import lindley_alt.cli as cli_module
+
+        for name in cli_module._HOME:
+            monkeypatch.delitem(vars(cli_module), name, raising=False)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(table1_csv))
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+
+
 class TestErrorChannels:
     def test_invalid_polynomial_reports_violations(self, capsys):
         bad = '{"type": "polynomial", "coeffs": [0.5, 0.2]}'  # sums to 0.7
@@ -368,6 +394,42 @@ class TestErrorChannels:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NotACdf"
         assert isinstance(err["violations"], list) and err["violations"]
+
+    @pytest.mark.parametrize(
+        "argv,written",
+        [
+            (["fit", "--dist", "triangular", "--order", "3", "--out", "{missing}/x.json"],
+             "{missing}/x.json"),
+            (["solve", "--dist", "triangular", "--order", "3", "--out", "{missing}/s.csv"],
+             "{missing}/s.csv"),
+            (["figure1", "--out", "{missing}/fig"], "{missing}/fig_cdf.csv"),
+        ],
+    )
+    def test_unwritable_out_is_input_error(self, argv, written, tmp_path, capsys):
+        missing = str(tmp_path / "no_such_dir")
+        rc = main([a.format(missing=missing) for a in argv])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "InputError"
+        assert written.format(missing=missing) in err["message"]
+
+    def test_overflowing_coefficients_leave_one_stderr_line(self):
+        # the density scan overflows to nan on these coefficients; numpy must
+        # not warn about it, and the violations are those the sum check finds
+        spec = '{"type": "polynomial", "coeffs": [0, 1e308, -1e308]}'
+        proc = subprocess.run(
+            [sys.executable, "-m", "lindley_alt.cli", "solve", "--dist", spec],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "NotACdf"
+        assert err["violations"] == ["coefficients must sum to 1 (F(1) = 1); got 0.0"]
 
     def test_malformed_json_spec(self, capsys):
         rc = main(["solve", "--dist", "{not json"])

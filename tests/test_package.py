@@ -1,0 +1,123 @@
+"""Package surface and import budget.
+
+``lindley_alt`` resolves its public names on first use, and each CLI
+command loads only the layers it calls. The budget tests run each import
+or command in a fresh interpreter and read its ``sys.modules``.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import lindley_alt
+from lindley_alt.cli import RunConfig
+from lindley_alt.errors import InputError
+from lindley_alt.oracle import MIN_SIMULATION_STEPS
+
+#: Runs one CLI invocation in-process and prints [exit code, sys.modules].
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from lindley_alt.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+#: Layer modules of the package that the budget tests watch.
+_LAYERS = ("solver", "_exact", "oracle", "bounds")
+
+
+def _fresh(script: str):
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _run_main(argv):
+    code, modules = _fresh(_RUN_MAIN.format(argv=argv))
+    return code, set(modules)
+
+
+class TestPublicSurface:
+    def test_every_name_resolves_to_its_home_object(self):
+        for name in lindley_alt.__all__:
+            if name == "__version__":
+                continue
+            obj = getattr(lindley_alt, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(lindley_alt.__all__) <= set(dir(lindley_alt))
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from lindley_alt import *", namespace)
+        assert set(lindley_alt.__all__) <= namespace.keys()
+
+    def test_unknown_name_is_attribute_error(self):
+        assert not hasattr(lindley_alt, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lindley_alt.no_such_name
+
+    def test_names_resolve_lazily_in_a_fresh_process(self):
+        loaded, solve_module = _fresh(
+            "import json, sys, lindley_alt\n"
+            "loaded = 'lindley_alt.solver' in sys.modules\n"
+            "print(json.dumps([loaded, lindley_alt.solve.__module__]))"
+        )
+        assert (loaded, solve_module) == (False, "lindley_alt.solver")
+
+
+class TestRunConfigStandsAlone:
+    def test_service_and_distribution_without_main(self):
+        rate, coeffs = _fresh(
+            "import json\n"
+            "from lindley_alt.cli import RunConfig\n"
+            "config = RunConfig(command='solve', dist='uniform')\n"
+            "print(json.dumps([config.service.rate, list(config.distribution().coeffs)]))"
+        )
+        assert (rate, coeffs) == (1.0, [0.0, 1.0])
+
+    def test_samples_floor_message(self):
+        with pytest.raises(InputError) as excinfo:
+            RunConfig(command="verify", samples=10)
+        assert str(excinfo.value) == "samples must lie in [10000, 1e8], got 10"
+
+    def test_default_samples_clear_the_floor(self):
+        # RunConfig skips the floor check (and the oracle import) for the default
+        assert MIN_SIMULATION_STEPS <= RunConfig.samples <= 10**8
+
+
+class TestImportBudget:
+    @pytest.mark.parametrize("module", ["lindley_alt", "lindley_alt.cli"])
+    def test_import_loads_no_numpy(self, module):
+        modules = _fresh(f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))")
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize(
+        "argv,code", [(["--version"], 0), (["--help"], 0), (["table1", "--mu", "3"], 2)]
+    )
+    def test_no_command_run_loads_no_numpy(self, argv, code):
+        got, modules = _run_main(argv)
+        assert got == code
+        assert "numpy" not in modules
+        assert not {f"lindley_alt.{m}" for m in ("distributions", *_LAYERS)} & modules
+
+    def test_fit_loads_no_solver_oracle_or_bounds(self):
+        code, modules = _run_main(["fit", "--dist", "triangular", "--order", "5"])
+        assert code == 0
+        assert "lindley_alt.bernstein" in modules
+        assert not {f"lindley_alt.{m}" for m in _LAYERS} & modules
+
+    def test_solve_loads_no_oracle_or_bounds(self):
+        code, modules = _run_main(["solve", "--dist", "uniform"])
+        assert code == 0
+        assert "lindley_alt.solver" in modules
+        assert not {"lindley_alt.oracle", "lindley_alt.bounds"} & modules
