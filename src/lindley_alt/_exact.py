@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .distributions import _over_common_denominator
 from .errors import AsymmetryDetected
 
 #: Largest degree handled by the double-precision context. Measured over fit
@@ -28,18 +29,6 @@ from .errors import AsymmetryDetected
 #: density dips above -4e-12; residuals first cross 1e-9 at degree 15.
 #: Threshold = that crossing minus a safety margin.
 EXTENDED_DEGREE = 12
-
-
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators of the rationals over their least common denominator.
-
-    The inputs here are dyadic (doubles, and exact sums and products of
-    them), so the denominator is one power of two and every later sum and
-    product is plain integer arithmetic, with no gcd per operation.
-    """
-    ratios = [Fraction(v).as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in ratios))
-    return [num * (den // d) for num, d in ratios], den
 
 
 def exact_nu(coeffs: tuple[float, ...], rate: float) -> list[Fraction]:

@@ -10,51 +10,59 @@ fed straight to the exact solver. The operator also reproduces affine
 functions exactly, which pins down the fit of a linear CDF to machine
 precision — a strong self-test.
 
-Monomial coefficients are accumulated in exact rational arithmetic
-(:class:`fractions.Fraction`): the conversion from the Bernstein basis to
-monomials is catastrophically ill-conditioned in floating point for n
-beyond ~15, while the exact forward differences
+Monomial coefficients are exact until one final rounding: the conversion
+from the Bernstein basis to monomials is catastrophically ill-conditioned
+in floating point for n beyond ~15, while the exact forward differences
 
     c_m = C(n, m) * Delta^m F(0)    (Delta the unit forward difference)
 
-stay exact as long as the CDF values themselves are rational. CDF queries
-go through :func:`eval_cdf` with Fraction nodes, so polynomial and
-piecewise-polynomial inputs with float coefficients are evaluated exactly;
-opaque callables fall back to float values converted to Fractions.
+stay exact as long as the CDF values themselves are rational. They are: a
+law's float coefficients are dyadic, so its node values F(m/n) are integers
+over one denominator d * n^deg, and so are their differences. Opaque
+callables are queried with floats, which are exact rationals too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .distributions import (
     PiecewisePolynomialCdf,
     PolynomialCdf,
+    _float_cdf,
     _golden_min,
-    eval_cdf,
+    _horner,
+    _over_common_denominator,
     validate,
 )
 from .errors import OrderTooHigh
 
 __all__ = ["MAX_ORDER", "FitReport", "bernstein_fit", "fit_report", "sup_distance"]
 
-#: Largest supported fit order. Beyond this, float CDF values quantized to
-#: Fractions no longer carry enough precision through the n-th forward
-#: difference, and the solver's root pairing degrades as well.
+#: Largest supported fit order. Beyond it a callable's float node values
+#: carry too little precision through the n-th forward difference (a law's
+#: are exact), and the solver's root pairing degrades as well.
 MAX_ORDER = 40
 
 #: Resolution of the sup-distance search grid (refined by golden section).
 _SUP_GRID = 2**14
 
 #: Grid points scanned per block: two blocks of half the grid each. A full
-#: grid's temporaries (131,080 B) sit just over glibc's default 128 KiB mmap
-#: threshold, so every scan would map, page-fault and unmap fresh memory;
-#: half-grid ones (65,544 B) reuse the heap.
+#: grid's value buffers (131,080 B) sit just over glibc's default 128 KiB
+#: mmap threshold, so every scan would map, page-fault and unmap fresh
+#: memory; half-grid ones (65,544 B) reuse the heap.
 _SUP_BLOCK = _SUP_GRID // 2 + 1
+
+#: The grid's points k / 2^14, k = 0..2^14, exact in binary.
+_SUP_XS = np.arange(_SUP_GRID + 1) / _SUP_GRID
+_SUP_XS.setflags(write=False)
+
+#: Laws evaluated from their pieces; anything else is called.
+_LAWS = (PolynomialCdf, PiecewisePolynomialCdf)
 
 
 @dataclass(frozen=True)
@@ -67,20 +75,31 @@ class FitReport:
     sup_location: float
 
 
-def _cdf_values_at_nodes(dist, order: int) -> list[Fraction]:
-    """F(m/n) for m = 0..n as exact rationals.
+def _node_numerators(dist, order: int) -> tuple[list[int], int]:
+    """Integers N_m and one denominator D with F(m/n) = N_m / D for m = 0..n.
 
-    Distribution objects are queried with Fraction arguments (exact
-    evaluation path); other callables are queried with floats and the
-    results converted, which is exact for the value the callable returned.
+    A law's coefficients are integers C_i over one denominator d, so on the
+    piece holding m/n (the last start p/q with m q >= p n), F(m/n) is
+    sum_i C_i m^i n^(deg-i) / (d n^deg), deg the top degree; F(1) = 1.
     """
-    exact = isinstance(dist, (PolynomialCdf, PiecewisePolynomialCdf))
-    values = []
-    for m in range(order + 1):
-        node = Fraction(m, order)
-        raw = eval_cdf(dist, node) if exact else dist(m / order)
-        values.append(raw if isinstance(raw, Fraction) else Fraction(raw))
-    return values
+    if not isinstance(dist, _LAWS):
+        return _over_common_denominator([dist(m / order) for m in range(order + 1)])
+    starts, polys = dist._pieces
+    deg = max(map(len, polys)) - 1
+    flat, den = _over_common_denominator([c for poly in polys for c in poly])
+    nums = iter(flat)
+    horner = [[next(nums) * order ** (deg - i) for i in range(len(p))][::-1] for p in polys]
+    cuts = [a.as_integer_ratio() for a in starts]
+    values, j = [], 0
+    for m in range(order):
+        while j + 1 < len(cuts) and m * cuts[j + 1][1] >= cuts[j + 1][0] * order:
+            j += 1
+        acc = 0
+        for c in horner[j]:
+            acc = acc * m + c
+        values.append(acc)
+    den *= order**deg
+    return [*values, den], den
 
 
 def bernstein_fit(dist, order: int) -> PolynomialCdf:
@@ -103,26 +122,21 @@ def bernstein_fit(dist, order: int) -> PolynomialCdf:
 
     Notes
     -----
-    The returned coefficients sum to 1 in floating point *exactly*: after
-    rounding the exact rationals, the largest safe coefficient is nudged by
-    the residual so that downstream normalization checks hold bitwise.
+    The returned coefficients sum to 1 in floating point *exactly*: one
+    small coefficient absorbs the rounding residue (:func:`_nudge_to_unit_sum`).
     """
     if order < 1:
         raise ValueError(f"fit order must be >= 1, got {order}")
     if order > MAX_ORDER:
         raise OrderTooHigh(order, MAX_ORDER)
-    values = _cdf_values_at_nodes(dist, order)
+    diffs, den = _node_numerators(dist, order)
 
-    # c_m = C(n, m) * Delta^m F(0), accumulated exactly.
-    diffs = list(values)
-    coeffs = [diffs[0]]  # m = 0: the atom F(0)
+    # c_m = C(n, m) * Delta^m F(0), exact in integers and rounded once
+    floats = [diffs[0] / den]  # m = 0: the atom F(0)
     for m in range(1, order + 1):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        coeffs.append(math.comb(order, m) * diffs[0])
-
-    floats = [float(c) for c in coeffs]
-    floats = _nudge_to_unit_sum(floats)
-    return validate(floats)
+        floats.append(math.comb(order, m) * diffs[0] / den)
+    return validate(_nudge_to_unit_sum(floats))
 
 
 def _nudge_to_unit_sum(coeffs: list[float]) -> list[float]:
@@ -162,35 +176,44 @@ def fit_report(dist, order: int) -> FitReport:
 def sup_distance(first, second, locate: bool = False):
     """sup_x |F(x) - G(x)| over [0, 1] for two CDF-like objects.
 
-    Scans a dyadic grid of 2^14 cells, then refines around the best cell by
-    golden-section search. Both one-sided endpoint values are included via
-    the grid itself (both functions are right-continuous on [0, 1] and any
-    common atom sits at 0, a grid point).
+    Scans a dyadic grid of 2^14 cells, then refines around the first
+    largest gap by golden-section search, which must beat the grid strictly.
+    Both one-sided endpoint values are included via the grid itself (both
+    functions are right-continuous and any common atom sits at 0).
     """
-    f = _as_callable(first)
-    g = _as_callable(second)
     k, peak = 0, -np.inf
+    f_vals, g_vals = np.empty(_SUP_BLOCK), np.empty(_SUP_BLOCK)
     for start in range(0, _SUP_GRID + 1, _SUP_BLOCK):
-        xs = np.arange(start, min(start + _SUP_BLOCK, _SUP_GRID + 1)) / _SUP_GRID
-        gaps = np.abs(f(xs) - g(xs))
-        j = int(np.argmax(gaps))
+        xs = _SUP_XS[start : start + _SUP_BLOCK]
+        gaps = _grid_cdf(first, xs, f_vals[: xs.size])
+        np.subtract(gaps, _grid_cdf(second, xs, g_vals[: xs.size]), out=gaps)
+        j = int(np.argmax(np.abs(gaps, out=gaps)))
         if gaps[j] > peak:  # strict: the first maximum on the grid wins
             k, peak = start + j, float(gaps[j])
-    lo = max(k - 1, 0) / _SUP_GRID
-    hi = min(k + 1, _SUP_GRID) / _SUP_GRID
-    x_star = _golden_min(lambda x: -abs(float(f(x)) - float(g(x))), lo, hi)
-    best_x = float(x_star)
-    best = abs(float(f(best_x)) - float(g(best_x)))
-    if best < peak:
-        best, best_x = peak, k / _SUP_GRID
-    if locate:
-        return best, best_x
-    return best
+    # a law's scalar values skip eval_cdf's type dispatch
+    f, g = (partial(_float_cdf, o) if isinstance(o, _LAWS) else _as_callable(o)
+            for o in (first, second))
+    lo, hi = max(k - 1, 0) / _SUP_GRID, min(k + 1, _SUP_GRID) / _SUP_GRID
+    least, where = _golden_min(lambda x: -abs(float(f(x)) - float(g(x))), lo, hi)
+    best, where = (peak, k / _SUP_GRID) if -least <= peak else (-least, where)
+    return (best, where) if locate else best
+
+
+def _grid_cdf(obj, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The CDF at sorted points xs of [0, 1], into ``out``: for a law,
+    :func:`eval_cdf`'s values by one in-place Horner per piece's slice."""
+    if not isinstance(obj, _LAWS):
+        out[:] = _as_callable(obj)(xs)
+        return out
+    starts, polys = obj._pieces
+    cuts = np.searchsorted(xs, [*starts, 1.0])
+    for coeffs, lo, hi in zip(polys, cuts, cuts[1:]):
+        _horner(coeffs, xs[lo:hi], out[lo:hi])
+    out[cuts[-1] :] = 1.0  # F(1) = 1
+    return out
 
 
 def _as_callable(obj):
-    if isinstance(obj, (PolynomialCdf, PiecewisePolynomialCdf)):
-        return lambda x: eval_cdf(obj, x)
     cdf = getattr(obj, "cdf", None)
     if callable(cdf):
         return cdf

@@ -21,11 +21,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
-from ._moments import moment_grid
 from .errors import InputError, NotACdf
 
 __all__ = [
@@ -88,26 +86,37 @@ class ExponentialService:
             raise ValueError(f"service rate must be a positive finite real, got {self.rate!r}")
 
 
-def _horner(coeffs, x):
-    """Evaluate sum_i coeffs[i] * x^i by Horner's rule (scalar or array x)."""
-    acc = coeffs[-1]
-    if isinstance(x, np.ndarray):
-        acc = np.full_like(x, acc, dtype=float)
+def _horner(coeffs, x, out=None):
+    """Evaluate sum_i coeffs[i] * x^i by Horner's rule: a scalar x, or an
+    array x in place in ``out`` (a fresh array by default), no temporaries."""
+    if not isinstance(x, np.ndarray):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+    out = np.empty(x.shape) if out is None else out
+    out.fill(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
 
 
-def _horner_exact(coeffs, x: Fraction) -> Fraction:
-    """Exact rational Horner evaluation (floats are exact rationals)."""
-    acc = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + Fraction(c)
-    return acc
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of the rationals over their least common denominator:
+    one power of two for doubles, so later arithmetic needs no gcd."""
+    ratios = [Fraction(v).as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios], den
 
 
 class _SampledLaw:
-    """Holds a law's sampler table (:func:`_inverse_table`), built once."""
+    """What a law builds once: its pieces' starts and coefficient tuples, and
+    its sampler table (:func:`_inverse_table`)."""
+
+    @cached_property
+    def _pieces(self):
+        return [a for a, _, _ in self.segments()], [c for *_, c in self.segments()]
 
     @cached_property
     def _sampler_table(self):
@@ -173,10 +182,6 @@ class PiecewisePolynomialCdf(_SampledLaw):
             for j in range(len(self.polys))
         ]
 
-    def _segment_index(self, x) -> int:
-        idx = bisect_right(self.breakpoints, x) - 1
-        return min(max(idx, 0), len(self.polys) - 1)
-
     def cdf(self, x):
         return eval_cdf(self, x)
 
@@ -185,45 +190,39 @@ class PiecewisePolynomialCdf(_SampledLaw):
 
 
 def eval_cdf(dist, x):
-    """Evaluate a distribution's CDF: 0 below 0, F(x) on [0, 1], 1 above 1.
-
-    Accepts scalars, :class:`fractions.Fraction` (evaluated exactly, for the
-    fitting code's exact-node queries), and numpy arrays.
-    """
+    """A distribution's CDF at a float or an array: 0 below 0, F(x) on [0, 1], 1 above."""
     if isinstance(x, np.ndarray):
-        if isinstance(dist, PolynomialCdf):
-            val = _horner(dist.coeffs, np.clip(x, 0.0, 1.0))
-        else:
-            xc = np.clip(x, 0.0, 1.0)
-            val = np.empty_like(xc)
-            edges = np.searchsorted(dist.breakpoints, xc, side="right") - 1
-            edges = np.clip(edges, 0, len(dist.polys) - 1)
-            for j, poly in enumerate(dist.polys):
-                mask = edges == j
-                if np.any(mask):
-                    val[mask] = _horner(poly, xc[mask])
+        val = _eval_pieces(dist, np.clip(x, 0.0, 1.0), tuple)
         return np.where(x < 0.0, 0.0, np.where(x >= 1.0, 1.0, val))
-    if isinstance(x, Rational) and not isinstance(x, int):
-        if x < 0:
-            return Fraction(0)
-        if x >= 1:
-            return Fraction(1)
-        x = Fraction(x)
-        if isinstance(dist, PolynomialCdf):
-            return _horner_exact(dist.coeffs, x)
-        return _horner_exact(dist.polys[dist._segment_index(x)], x)
-    x = float(x)
+    return _float_cdf(dist, float(x))
+
+
+def _float_cdf(dist, x: float) -> float:
+    """The CDF at one float x, by Horner on the piece holding it."""
     if x < 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    if isinstance(dist, PolynomialCdf):
-        return float(_horner(dist.coeffs, x))
-    return float(_horner(dist.polys[dist._segment_index(x)], x))
+    starts, polys = dist._pieces
+    return float(_horner(polys[bisect_right(starts, x) - 1], x))
 
 
 def _derivative_coeffs(coeffs) -> tuple[float, ...]:
     return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
+
+
+def _eval_pieces(dist, xs: np.ndarray, transform) -> np.ndarray:
+    """Horner of transform(piece coefficients) at each point of xs in [0, 1]."""
+    starts, polys = dist._pieces
+    if len(polys) == 1:
+        return _horner(transform(polys[0]), xs)
+    val = np.empty_like(xs)
+    edges = np.searchsorted(starts, xs, side="right") - 1
+    for j, poly in enumerate(polys):
+        mask = edges == j
+        if np.any(mask):
+            val[mask] = _horner(transform(poly), xs[mask])
+    return val
 
 
 def eval_density(dist, x):
@@ -236,21 +235,12 @@ def eval_density(dist, x):
     xs = np.asarray(x, dtype=float)
     if np.any((xs <= 0.0) | (xs > 1.0)):
         raise ValueError("density is defined on (0, 1] only")
-    if isinstance(dist, PolynomialCdf):
-        val = _horner(_derivative_coeffs(dist.coeffs), xs)
-    else:
-        val = np.empty_like(xs)
-        edges = np.searchsorted(dist.breakpoints, xs, side="right") - 1
-        edges = np.clip(edges, 0, len(dist.polys) - 1)
-        for j, poly in enumerate(dist.polys):
-            mask = edges == j
-            if np.any(mask):
-                val[mask] = _horner(_derivative_coeffs(poly), xs[mask])
+    val = _eval_pieces(dist, xs, _derivative_coeffs)
     return float(val) if scalar else val
 
 
-def _golden_min(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Minimum value of ``fun`` on [lo, hi] by golden-section search."""
+def _golden_min(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
+    """(Minimum value, its argument) of ``fun`` on [lo, hi] by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -265,7 +255,7 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-12) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(d)
-    return min(fc, fd, fun(a), fun(b))
+    return min((fc, c), (fd, d), (fun(a), a), (fun(b), b))
 
 
 def _monotone_violation(coeffs, lo: float, hi: float) -> float | None:
@@ -291,15 +281,8 @@ def _monotone_violation(coeffs, lo: float, hi: float) -> float | None:
     scale = max(1.0, float(np.max(np.abs(vals))))
     suspect = np.nonzero(vals < 1e-4 * scale)[0]
     fun = lambda x: float(_horner(dcoeffs, x))
-    checked: set[int] = set()
-    for i in suspect:
-        cell = int(i)
-        if cell in checked:
-            continue
-        checked.add(cell)
-        a = xs[max(0, cell - 1)]
-        b = xs[min(npts - 1, cell + 1)]
-        refined = _golden_min(fun, float(a), float(b))
+    for cell in suspect:
+        refined, _ = _golden_min(fun, float(xs[max(0, cell - 1)]), float(xs[min(npts - 1, cell + 1)]))
         worst = min(worst, refined)
         if worst < -DENSITY_TOL:
             return worst
@@ -313,14 +296,10 @@ def cdf_violations(coeffs) -> list[str]:
         return ["coefficient sequence is empty"]
     if any(not math.isfinite(c) for c in coeffs):
         return ["coefficients must be finite"]
-    while len(coeffs) > 1 and abs(coeffs[-1]) < TRIM_TOL:
-        coeffs.pop()
-    problems = []
+    coeffs = _trimmed(coeffs)
     if len(coeffs) < 2:
-        problems.append("degree must be >= 1 after trailing-coefficient trimming")
-        return problems
-    if -TRIM_TOL <= coeffs[0] < 0.0:
-        coeffs[0] = 0.0
+        return ["degree must be >= 1 after trailing-coefficient trimming"]
+    problems = []
     total = math.fsum(coeffs)
     if abs(total - 1.0) > 1e-12:
         problems.append(f"coefficients must sum to 1 (F(1) = 1); got {total!r}")
@@ -343,12 +322,17 @@ def validate(coeffs) -> PolynomialCdf:
     problems = cdf_violations(coeffs)
     if problems:
         raise NotACdf(problems)
-    trimmed = [float(c) for c in coeffs]
-    while len(trimmed) > 1 and abs(trimmed[-1]) < TRIM_TOL:
-        trimmed.pop()
-    if -TRIM_TOL <= trimmed[0] < 0.0:
-        trimmed[0] = 0.0
-    return PolynomialCdf(tuple(trimmed))
+    return PolynomialCdf(tuple(_trimmed(coeffs)))
+
+
+def _trimmed(coeffs) -> list[float]:
+    """Floats without trailing coefficients below TRIM_TOL; a tiny negative atom is 0."""
+    out = [float(c) for c in coeffs]
+    while len(out) > 1 and abs(out[-1]) < TRIM_TOL:
+        out.pop()
+    if -TRIM_TOL <= out[0] < 0.0:
+        out[0] = 0.0
+    return out
 
 
 def _piecewise_violations(breaks, polys) -> list[str]:
@@ -418,6 +402,8 @@ def _service_kernel(dist, rate: float, u: np.ndarray) -> np.ndarray:
     points asked for: u = 0 has every piece's widest window, so it sets
     :func:`moment_grid`'s downward start wherever it takes that pass.
     """
+    from ._moments import moment_grid
+
     total = np.exp(-rate * (1.0 - u))  # mass where u + A lands past 1
     for a, b, coeffs in dist.segments():
         mask = u < b

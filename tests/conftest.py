@@ -95,20 +95,25 @@ def gammainc_contraction(coeffs, mu: float) -> float:
 
 
 def random_piecewise_cdf(
-    rng, max_pieces: int = 4, pieces: int | None = None
+    rng, max_pieces: int = 4, pieces: int | None = None, breaks=None
 ) -> PiecewisePolynomialCdf:
     """A random continuous piecewise-quadratic CDF on [0, 1] (no atom).
 
     Built by integrating a piecewise-linear nonnegative density over random
     breakpoints, so continuity and monotonicity hold by construction. The
-    number of pieces is drawn from 1..max_pieces unless ``pieces`` fixes it.
+    number of pieces is drawn from 1..max_pieces unless ``pieces`` fixes it;
+    given ``breaks``, those are the breakpoints and only the density is drawn.
     """
-    if pieces is None:
-        pieces = int(rng.integers(1, max_pieces + 1))
-    widths = rng.dirichlet(np.ones(pieces)) + 0.05
-    widths /= widths.sum()
-    breaks = np.concatenate([[0.0], np.cumsum(widths)])
-    breaks[-1] = 1.0
+    if breaks is not None:
+        breaks = np.asarray(breaks, dtype=float)
+        pieces, widths = breaks.size - 1, np.diff(breaks)
+    else:
+        if pieces is None:
+            pieces = int(rng.integers(1, max_pieces + 1))
+        widths = rng.dirichlet(np.ones(pieces)) + 0.05
+        widths /= widths.sum()
+        breaks = np.concatenate([[0.0], np.cumsum(widths)])
+        breaks[-1] = 1.0
     nodes = rng.uniform(0.05, 2.0, pieces + 1)  # density values at the breakpoints
     mass = float(np.sum(widths * (nodes[:-1] + nodes[1:]) / 2.0))
     nodes /= mass

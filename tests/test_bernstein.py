@@ -4,24 +4,29 @@ Frozen oracle values used below were derived independently of the fitting
 code: the order-1 fit of the symmetric triangular CDF is the uniform CDF, so
 its sup error is max_x |x - F_tri(x)| = 1/8 attained at x = 1/4 (calculus on
 the closed-form branch x - 2x^2); higher-order sup errors are cross-checked
-in-test against a dense independent grid evaluation of both functions.
+in-test against a dense independent grid evaluation of both functions, and
+at order 3 against the roots of the gap's derivative.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_piecewise_cdf, random_polynomial_cdf
+import lindley_alt.bernstein as bernstein_module
 from lindley_alt.bernstein import (
     MAX_ORDER,
     FitReport,
     _as_callable,
+    _nudge_to_unit_sum,
     bernstein_fit,
     fit_report,
     sup_distance,
 )
 from lindley_alt.distributions import (
+    PiecewisePolynomialCdf,
     PolynomialCdf,
     _golden_min,
     eval_cdf,
@@ -43,6 +48,46 @@ def grid_sup_error(fitted: PolynomialCdf, n_points: int = 200_001) -> float:
     xs = np.linspace(0.0, 1.0, n_points)
     fit_vals = np.polyval(list(reversed(fitted.coeffs)), xs)
     return float(np.max(np.abs(fit_vals - triangular_cdf_values(xs))))
+
+
+def fraction_fit(dist, order: int) -> PolynomialCdf:
+    """The fit from Fraction node values and Fraction forward differences.
+
+    The reference for the fitter's integer path: a law's node values are
+    exact rationals, a plain callable is queried with floats.
+    """
+    if isinstance(dist, (PolynomialCdf, PiecewisePolynomialCdf)):
+        def value(x):  # exact Horner on the piece holding x
+            if x >= 1:
+                return Fraction(1)
+            coeffs = [c for a, _, c in dist.segments() if a <= x][-1]
+            return sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
+        values = [value(Fraction(m, order)) for m in range(order + 1)]
+    else:
+        values = [Fraction(dist(m / order)) for m in range(order + 1)]
+    diffs, coeffs = values, [values[0]]
+    for m in range(1, order + 1):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        coeffs.append(math.comb(order, m) * diffs[0])
+    return validate(_nudge_to_unit_sum([float(c) for c in coeffs]))
+
+
+def sup_cases():
+    """(first, second) pairs for the sup scan: fits against 2- to 4-piece laws."""
+    rng = np.random.default_rng(31)
+    tri = triangular_cdf()
+    cases = [(bernstein_fit(tri, order), tri) for order in range(1, 13)]
+    laws = [random_piecewise_cdf(rng, pieces=p) for p in (3, 3, 4, 4)]
+    # breakpoints on sup-grid points and on the Bernstein nodes of orders 4k and 8k
+    laws += [random_piecewise_cdf(rng, breaks=(0.0, 0.25, 0.5, 0.75, 1.0)),
+             random_piecewise_cdf(rng, breaks=(0.0, 0.375, 0.625, 1.0))]
+    for law in laws:
+        cases += [(law, bernstein_fit(law, order)) for order in (4, 8, 13, 24)]
+    # a plateau: the gap 1/4 is attained at every grid point from 1/4 on,
+    # in both scan blocks, so only the first-maximum rule fixes the location
+    cases.append((lambda x: np.asarray(x, dtype=float),
+                  lambda x: np.clip(np.asarray(x, dtype=float) - 0.25, 0.0, 1.0)))
+    return cases
 
 
 class TestExactReproduction:
@@ -110,6 +155,37 @@ class TestTriangularFits:
             assert grid_sup_error(fitted) < 0.02
 
 
+class TestIntegerNodes:
+    """The fitter's integer numerators reproduce the Fraction computation."""
+
+    def test_coefficients_match_fraction_reference(self):
+        rng = np.random.default_rng(12)
+        laws = [triangular_cdf(), uniform_cdf(), validate([0.3, 0.2, 0.5])]
+        laws += [random_polynomial_cdf(rng) for _ in range(3)]
+        laws += [random_piecewise_cdf(rng, pieces=p) for p in (1, 2, 3, 4)]
+        laws += [random_piecewise_cdf(rng, breaks=(0.0, 0.25, 0.5, 0.75, 1.0)),
+                 random_piecewise_cdf(rng, breaks=(0.0, 0.375, 0.625, 1.0))]
+        laws.append(lambda x: 0.5 * x + 0.5 * x**3)
+        for dist in laws:
+            for order in range(1, MAX_ORDER + 1):
+                assert bernstein_fit(dist, order).coeffs == fraction_fit(dist, order).coeffs
+
+    def test_not_a_cdf_message_matches_fraction_reference(self):
+        wavy = lambda x: x + 0.45 * math.sin(2.0 * math.pi * x)
+        rejected = 0
+        for order in range(1, MAX_ORDER + 1):
+            try:
+                want = fraction_fit(wavy, order)
+            except NotACdf as exc:
+                rejected += 1
+                with pytest.raises(NotACdf) as info:
+                    bernstein_fit(wavy, order)
+                assert str(info.value) == str(exc)
+            else:
+                assert bernstein_fit(wavy, order).coeffs == want.coeffs
+        assert rejected
+
+
 class TestValidityAndLimits:
     def test_order_beyond_max_rejected(self):
         with pytest.raises(OrderTooHigh) as info:
@@ -162,6 +238,26 @@ class TestSupDistance:
     def test_distance_to_self_is_zero(self):
         assert sup_distance(triangular_cdf(), triangular_cdf()) == 0.0
         assert sup_distance(uniform_cdf(), uniform_cdf()) == 0.0
+        # no gap beats the first grid point, x = +0.0
+        _, where = sup_distance(triangular_cdf(), triangular_cdf(), locate=True)
+        assert math.copysign(1.0, where) == 1.0
+
+    def test_refinement_reaches_the_closed_form_maximum(self):
+        # on each triangular piece the order-3 gap is a cubic, so its extrema
+        # are the real roots of a quadratic; the scan grid alone falls short
+        # of the maximum by 1.35e-9
+        tri = triangular_cdf()
+        report = fit_report(tri, 3)
+        fit = np.polynomial.Polynomial(report.fitted.coeffs)
+        best, where = 0.0, 0.0
+        for a, b, poly in tri.segments():
+            gap = fit - np.polynomial.Polynomial(poly)
+            roots = gap.deriv().roots()
+            for x in [a, b, *(r.real for r in roots if r.imag == 0 and a <= r.real <= b)]:
+                if abs(gap(x)) > best:
+                    best, where = abs(gap(x)), x
+        assert abs(report.sup_error - best) <= 1e-12
+        assert report.sup_location == pytest.approx(where, abs=1e-6)
 
     def test_uniform_vs_triangular_closed_form(self):
         # max |x - F_tri| = 1/8 by symmetry, attained at 1/4 and 3/4
@@ -177,28 +273,32 @@ class TestSupDistance:
         with_atom = validate([0.3, 0.7])
         assert sup_distance(with_atom, uniform_cdf()) == pytest.approx(0.3, abs=1e-9)
 
+    @staticmethod
+    def full_scan(f, g, grid=2**14):
+        """One numpy scan of all 2^14 + 1 grid points through eval_cdf, first
+        maximum, then golden-section refinement kept only if strictly larger."""
+        xs = np.arange(grid + 1) / grid
+        gaps = np.abs(f(xs) - g(xs))
+        k = int(np.argmax(gaps))
+        least, x_star = _golden_min(
+            lambda x: -abs(float(f(x)) - float(g(x))),
+            xs[max(k - 1, 0)], xs[min(k + 1, grid)],
+        )
+        if -least <= gaps[k]:
+            return float(gaps[k]), float(xs[k])
+        return -least, x_star
+
     def test_blocked_scan_matches_full_grid_scan(self):
-        # Reference: one numpy scan of all 2^14 + 1 grid points, first
-        # maximum, then the same golden-section refinement around it.
-        def full_scan(f, g, grid=2**14):
-            xs = np.arange(grid + 1) / grid
+        for first, second in sup_cases():
+            f, g = _as_callable(first), _as_callable(second)
+            assert sup_distance(first, second, locate=True) == self.full_scan(f, g)
+
+    def test_grid_peak_matches_full_grid_scan(self, monkeypatch):
+        # with the refinement stubbed out, the scan's own index and peak show
+        monkeypatch.setattr(bernstein_module, "_golden_min", lambda *args: (math.inf, math.nan))
+        for first, second in sup_cases():
+            f, g = _as_callable(first), _as_callable(second)
+            xs = np.arange(2**14 + 1) / 2**14
             gaps = np.abs(f(xs) - g(xs))
             k = int(np.argmax(gaps))
-            x_star = float(_golden_min(
-                lambda x: -abs(float(f(x)) - float(g(x))),
-                xs[max(k - 1, 0)], xs[min(k + 1, grid)],
-            ))
-            best = abs(float(f(x_star)) - float(g(x_star)))
-            if best < gaps[k]:
-                return float(gaps[k]), float(xs[k])
-            return best, x_star
-
-        tri = triangular_cdf()
-        cases = [(bernstein_fit(tri, order), tri) for order in range(1, 13)]
-        # a plateau: the gap 1/4 is attained at every grid point from 1/4 on,
-        # in both scan blocks, so only the first-maximum rule fixes the location
-        cases.append((lambda x: np.asarray(x, dtype=float),
-                      lambda x: np.clip(np.asarray(x, dtype=float) - 0.25, 0.0, 1.0)))
-        for first, second in cases:
-            f, g = _as_callable(first), _as_callable(second)
-            assert sup_distance(first, second, locate=True) == full_scan(f, g)
+            assert sup_distance(first, second, locate=True) == (gaps[k], k / 2**14)

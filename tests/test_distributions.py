@@ -3,7 +3,6 @@
 import json
 import math
 from bisect import bisect_right
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -91,12 +90,6 @@ class TestEval:
         for _ in range(20):
             dist = random_polynomial_cdf(rng)
             assert eval_cdf(dist, 1.0) == 1.0
-
-    def test_exact_rational_path(self, triangular):
-        got = eval_cdf(triangular, Fraction(1, 3))
-        assert isinstance(got, Fraction)
-        assert got == Fraction(2, 9)  # 2 * (1/3)^2
-        assert eval_cdf(triangular, Fraction(3, 4)) == Fraction(7, 8)
 
     def test_array_evaluation_matches_scalar(self, triangular):
         xs = np.linspace(-0.5, 1.5, 101)

@@ -115,6 +115,8 @@ class TestImportBudget:
         assert code == 0
         assert "lindley_alt.bernstein" in modules
         assert not {f"lindley_alt.{m}" for m in _LAYERS} & modules
+        # only the service kernel integrates against the exponential
+        assert not {"lindley_alt._moments", "lindley_alt._numeric", "cmath"} & modules
 
     def test_solve_loads_no_oracle_or_bounds(self):
         code, modules = _run_main(["solve", "--dist", "uniform"])
