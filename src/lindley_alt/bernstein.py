@@ -35,8 +35,8 @@ from .distributions import (
     PolynomialCdf,
     _float_cdf,
     _golden_min,
-    _horner,
     _over_common_denominator,
+    _piece_sum,
     validate,
 )
 from .errors import OrderTooHigh
@@ -84,7 +84,7 @@ def _node_numerators(dist, order: int) -> tuple[list[int], int]:
     """
     if not isinstance(dist, _LAWS):
         return _over_common_denominator([dist(m / order) for m in range(order + 1)])
-    starts, polys = dist._pieces
+    starts, _, polys = zip(*dist.segments())
     deg = max(map(len, polys)) - 1
     flat, den = _over_common_denominator([c for poly in polys for c in poly])
     nums = iter(flat)
@@ -201,14 +201,15 @@ def sup_distance(first, second, locate: bool = False):
 
 def _grid_cdf(obj, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The CDF at sorted points xs of [0, 1], into ``out``: for a law,
-    :func:`eval_cdf`'s values by one in-place Horner per piece's slice."""
+    :func:`eval_cdf`'s values, each piece's slice summed in place."""
     if not isinstance(obj, _LAWS):
         out[:] = _as_callable(obj)(xs)
         return out
-    starts, polys = obj._pieces
+    starts, pieces = obj._pieces
     cuts = np.searchsorted(xs, [*starts, 1.0])
-    for coeffs, lo, hi in zip(polys, cuts, cuts[1:]):
-        _horner(coeffs, xs[lo:hi], out[lo:hi])
+    for piece, lo, hi in zip(pieces, cuts, cuts[1:]):
+        if hi > lo:
+            _piece_sum(piece, 0, xs[lo:hi], out[lo:hi])
     out[cuts[-1] :] = 1.0  # F(1) = 1
     return out
 

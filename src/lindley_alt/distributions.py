@@ -8,6 +8,13 @@ Two distribution families are supported:
   (e.g. the symmetric triangular law), used as ground truth for fitting and
   by the oracles.
 
+A law is stored by its float monomial coefficients and evaluated in the
+well-conditioned Bernstein form (Farouki & Rajan, CAGD 4, 1987) by one
+evaluator, :func:`_piece_sum`, from weights converted exactly, rounded once
+and cached on the law. Nonnegative density weights prove a law monotone and
+make its CDF weights nonnegative too, so where a fit's monomial coefficients
+reach 1e12 and cancel, its Bernstein sum cancels nothing.
+
 All values are immutable after construction and every operation is pure, so
 instances are safe to share across threads. Coefficients are stored in
 ascending power order throughout.
@@ -21,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -71,9 +79,6 @@ _NEWTON_TOL = 1e-14
 #: 35 steps, so only a pathological draw gets here.
 _NEWTON_ITERS = 64
 
-#: Veltkamp's splitting constant 2^27 + 1.
-_SPLITTER = 134217729.0
-
 
 @dataclass(frozen=True)
 class ExponentialService:
@@ -86,41 +91,98 @@ class ExponentialService:
             raise ValueError(f"service rate must be a positive finite real, got {self.rate!r}")
 
 
-def _horner(coeffs, x, out=None):
-    """Evaluate sum_i coeffs[i] * x^i by Horner's rule: a scalar x, or an
-    array x in place in ``out`` (a fresh array by default), no temporaries."""
-    if not isinstance(x, np.ndarray):
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-    out = np.empty(x.shape) if out is None else out
-    out.fill(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        np.multiply(out, x, out=out)
-        np.add(out, c, out=out)
-    return out
-
-
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of the rationals over their least common denominator:
     one power of two for doubles, so later arithmetic needs no gcd."""
-    ratios = [Fraction(v).as_integer_ratio() for v in values]
+    ratios = [(v if isinstance(v, float) else Fraction(v)).as_integer_ratio() for v in values]
     den = math.lcm(*(d for _, d in ratios))
     return [num * (den // d) for num, d in ratios], den
 
 
+def _taylor_rows(a: float, b: float, coeffs):
+    """Bernstein weights of F^(k)/k! on [a, b] in s = (x - a) / h, as float
+    rows k = 0, 1, ..., n of degree n - k: exact integers, rounded once.
+
+    Over one denominator, F(a + h s) = sum_j d_j s^j by an integer Horner;
+    w_k = sum_{j<=k} C(n-j, k-j) d_j by Pascal additions; each later row is
+    the x-derivative of the one before over k, and that division is exact.
+    A constant piece is taken at degree 1, so that it has a density row.
+    """
+    (*c, lo, hi), den = _over_common_denominator([*coeffs, a, b])
+    c += [0] * (len(c) == 1)
+    n, width, total, w = len(c) - 1, hi - lo, den, list(c)
+    if lo or width != den:  # den^(n+1) F = sum_i c_i den^(n-i) (lo + width s)^i
+        w, total = [c[n]], den ** (n + 1)
+        for i in range(n - 1, -1, -1):
+            w = [lo * u + width * v for u, v in zip(w + [0], [0] + w)]
+            w[0] += c[i] * den ** (n - i)
+    for m in range(1, n + 1):  # T_m = T_(m-1) (s + t) + d_m s^m, t = 1 - s
+        for k in range(m, 0, -1):
+            w[k] += w[k - 1]
+    g = math.gcd(den, width)
+    for k in range(n + 1):
+        if k:  # (i + 1) w_(i+1) - (m - i) w_i at degree m, over k h = k width / den
+            w = [((i + 1) * w[i + 1] - (n - k + 1 - i) * w[i]) // k * (den // g)
+                 for i in range(n - k + 1)]
+            total *= width // g
+        if max(map(abs, w)) >> 1023 >= total:  # a weight v / total could overflow
+            raise NotACdf(["coefficients overflow the float range in Bernstein form"])
+        yield tuple(v / total for v in w)
+
+
+def _piece_sum(piece, k: int, x, out=None):
+    """Row k (0: F, 1: the density) of a piece (a, b, rows) at x in [a, b].
+
+    The one evaluator: sum_i w_i s^i t^(m - i), s = (x - a) / (b - a),
+    t = 1 - s, nested from the top as q <- q s + w_i t^(m - i): exact at s = 0
+    and 1, and free of cancellation for nonnegative weights. A float x, or an
+    array x in place in ``out``, run the same float operations: bit-identical.
+    """
+    a, b, rows = piece
+    w = rows[k]
+    s = x if a == 0.0 and b == 1.0 else (x - a) / (b - a)
+    t = 1.0 - s
+    if not isinstance(s, np.ndarray):
+        q, tk = w[-1], 1.0
+        for wi in w[-2::-1]:
+            tk *= t
+            q = q * s + wi * tk
+        return q
+    out = np.empty(s.shape) if out is None else out
+    out.fill(w[-1])
+    tk, term = np.ones(s.shape), np.empty(s.shape)
+    for wi in w[-2::-1]:
+        np.multiply(tk, t, out=tk)
+        np.multiply(out, s, out=out)
+        np.multiply(tk, wi, out=term)
+        np.add(out, term, out=out)
+    return out
+
+
 class _SampledLaw:
-    """What a law builds once: its pieces' starts and coefficient tuples, and
-    its sampler table (:func:`_inverse_table`)."""
+    """What a law builds once: its starts and (a, b, rows) pieces with the rows of
+    F and f (``_pieces``) or every Taylor row (``_taylor``), and its sampler table."""
+
+    def _bernstein(self, rows: int | None):
+        return [(a, b, tuple(islice(_taylor_rows(a, b, c), rows))) for a, b, c in self.segments()]
 
     @cached_property
     def _pieces(self):
-        return [a for a, _, _ in self.segments()], [c for *_, c in self.segments()]
+        return [a for a, _, _ in self.segments()], self._bernstein(2)
+
+    @cached_property
+    def _taylor(self):
+        return self._bernstein(None)
 
     @cached_property
     def _sampler_table(self):
         return _inverse_table(self)
+
+    def cdf(self, x):
+        return eval_cdf(self, x)
+
+    def density(self, x):
+        return eval_density(self, x)
 
 
 @dataclass(frozen=True)
@@ -148,12 +210,6 @@ class PolynomialCdf(_SampledLaw):
         """The distribution as (start, end, coefficient) pieces."""
         return [(0.0, 1.0, self.coeffs)]
 
-    def cdf(self, x):
-        return eval_cdf(self, x)
-
-    def density(self, x):
-        return eval_density(self, x)
-
 
 @dataclass(frozen=True)
 class PiecewisePolynomialCdf(_SampledLaw):
@@ -168,13 +224,13 @@ class PiecewisePolynomialCdf(_SampledLaw):
     polys: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        problems = _piecewise_violations(self.breakpoints, self.polys)
+        problems = _piecewise_violations(self)
         if problems:
             raise NotACdf(problems)
 
     @property
     def atom(self) -> float:
-        return float(_horner(self.polys[0], 0.0))
+        return float(self.polys[0][0])  # F(0): the first piece starts at 0
 
     def segments(self) -> list[tuple[float, float, tuple[float, ...]]]:
         return [
@@ -182,46 +238,38 @@ class PiecewisePolynomialCdf(_SampledLaw):
             for j in range(len(self.polys))
         ]
 
-    def cdf(self, x):
-        return eval_cdf(self, x)
-
-    def density(self, x):
-        return eval_density(self, x)
-
 
 def eval_cdf(dist, x):
     """A distribution's CDF at a float or an array: 0 below 0, F(x) on [0, 1], 1 above."""
     if isinstance(x, np.ndarray):
-        val = _eval_pieces(dist, np.clip(x, 0.0, 1.0), tuple)
+        val = _eval_pieces(dist, np.clip(x, 0.0, 1.0), 0)
         return np.where(x < 0.0, 0.0, np.where(x >= 1.0, 1.0, val))
     return _float_cdf(dist, float(x))
 
 
 def _float_cdf(dist, x: float) -> float:
-    """The CDF at one float x, by Horner on the piece holding it."""
+    """The CDF at one float x, from the piece holding it."""
     if x < 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    starts, polys = dist._pieces
-    return float(_horner(polys[bisect_right(starts, x) - 1], x))
+    return _eval_pieces(dist, x, 0)
 
 
-def _derivative_coeffs(coeffs) -> tuple[float, ...]:
-    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
-
-
-def _eval_pieces(dist, xs: np.ndarray, transform) -> np.ndarray:
-    """Horner of transform(piece coefficients) at each point of xs in [0, 1]."""
-    starts, polys = dist._pieces
-    if len(polys) == 1:
-        return _horner(transform(polys[0]), xs)
+def _eval_pieces(dist, xs, k: int):
+    """Row k (0: F, 1: the density) at a float xs, or at each point of an
+    array xs, in [0, 1]."""
+    starts, pieces = dist._pieces
+    if not isinstance(xs, np.ndarray):
+        return _piece_sum(pieces[bisect_right(starts, xs) - 1], k, xs)
+    if len(pieces) == 1:
+        return _piece_sum(pieces[0], k, xs)
     val = np.empty_like(xs)
     edges = np.searchsorted(starts, xs, side="right") - 1
-    for j, poly in enumerate(polys):
+    for j, piece in enumerate(pieces):
         mask = edges == j
         if np.any(mask):
-            val[mask] = _horner(transform(poly), xs[mask])
+            val[mask] = _piece_sum(piece, k, xs[mask])
     return val
 
 
@@ -231,12 +279,10 @@ def eval_density(dist, x):
     The atom at 0, if any, is not part of the density; it is reported
     separately as the distribution's ``atom``.
     """
-    scalar = not isinstance(x, np.ndarray)
-    xs = np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     if np.any((xs <= 0.0) | (xs > 1.0)):
         raise ValueError("density is defined on (0, 1] only")
-    val = _eval_pieces(dist, xs, _derivative_coeffs)
-    return float(val) if scalar else val
+    return _eval_pieces(dist, xs, 1)
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -258,20 +304,20 @@ def _golden_min(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, f
     return min((fc, c), (fd, d), (fun(a), a), (fun(b), b))
 
 
-def _monotone_violation(coeffs, lo: float, hi: float) -> float | None:
-    """Most negative density value of the piece on [lo, hi], if any.
+def _monotone_violation(piece) -> float | None:
+    """Most negative density value of a piece (a, b, rows), if any.
 
-    Grid scan (share of the 4096-point budget proportional to length) plus
-    golden-section refinement around near-zero cells, per the documented
-    validation strategy; exhaustive root isolation is intentionally avoided.
+    None at once when every density weight (rounded, so of its exact sign) is
+    >= 0, by the convex-hull property. Otherwise a grid scan (share of the
+    4096-point budget by length) plus golden-section refinement near zero.
     """
-    dcoeffs = _derivative_coeffs(coeffs)
+    lo, hi, (_, density) = piece
+    if min(density) >= 0.0:
+        return None
     npts = max(8, int(_VALIDATION_GRID * (hi - lo)) + 1)
     xs = np.linspace(lo, hi, npts)
-    # coefficients near the float limit overflow to inf and nan here; nan
-    # compares false below, and such a law fails the other checks anyway
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _horner(dcoeffs, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # weights near the float limit
+        vals = _piece_sum(piece, 1, xs)
     worst = float(np.min(vals))
     if worst < -DENSITY_TOL:
         return worst
@@ -280,7 +326,7 @@ def _monotone_violation(coeffs, lo: float, hi: float) -> float | None:
     # grid values are already small.
     scale = max(1.0, float(np.max(np.abs(vals))))
     suspect = np.nonzero(vals < 1e-4 * scale)[0]
-    fun = lambda x: float(_horner(dcoeffs, x))
+    fun = lambda x: _piece_sum(piece, 1, x)
     for cell in suspect:
         refined, _ = _golden_min(fun, float(xs[max(0, cell - 1)]), float(xs[min(npts - 1, cell + 1)]))
         worst = min(worst, refined)
@@ -291,81 +337,89 @@ def _monotone_violation(coeffs, lo: float, hi: float) -> float | None:
 
 def cdf_violations(coeffs) -> list[str]:
     """All invariant violations of a coefficient sequence (empty if valid)."""
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs:
-        return ["coefficient sequence is empty"]
-    if any(not math.isfinite(c) for c in coeffs):
-        return ["coefficients must be finite"]
-    coeffs = _trimmed(coeffs)
-    if len(coeffs) < 2:
-        return ["degree must be >= 1 after trailing-coefficient trimming"]
-    problems = []
-    total = math.fsum(coeffs)
-    if abs(total - 1.0) > 1e-12:
-        problems.append(f"coefficients must sum to 1 (F(1) = 1); got {total!r}")
-    if not 0.0 <= coeffs[0] < 1.0:
-        problems.append(f"constant term (atom at 0) must lie in [0, 1); got {coeffs[0]!r}")
-    worst = _monotone_violation(tuple(coeffs), 0.0, 1.0)
-    if worst is not None:
-        problems.append(f"density dips to {worst:.3e} < -{DENSITY_TOL:g}: CDF not nondecreasing")
-    return problems
+    try:
+        validate(coeffs)
+    except NotACdf as exc:
+        return list(exc.violations)
+    return []
 
 
 def validate(coeffs) -> PolynomialCdf:
-    """Validate a coefficient sequence and return the trimmed distribution.
+    """Validate a coefficient sequence and return the trimmed distribution,
+    which keeps the Bernstein form its monotonicity check built.
 
     Raises
     ------
     NotACdf
         Carrying the full list of violated requirements.
     """
-    problems = cdf_violations(coeffs)
+    try:
+        coeffs = [float(c) for c in coeffs]
+    except (TypeError, ValueError):
+        raise NotACdf(["coefficients must be an array of numbers"]) from None
+    if not coeffs:
+        raise NotACdf(["coefficient sequence is empty"])
+    if any(not math.isfinite(c) for c in coeffs):
+        raise NotACdf(["coefficients must be finite"])
+    while len(coeffs) > 1 and abs(coeffs[-1]) < TRIM_TOL:
+        coeffs.pop()
+    if -TRIM_TOL <= coeffs[0] < 0.0:  # a tiny negative atom is 0
+        coeffs[0] = 0.0
+    if len(coeffs) < 2:
+        raise NotACdf(["degree must be >= 1 after trailing-coefficient trimming"])
+    problems = []
+    total = math.fsum(coeffs)
+    if abs(total - 1.0) > 1e-12:
+        problems.append(f"coefficients must sum to 1 (F(1) = 1); got {total!r}")
+    if not 0.0 <= coeffs[0] < 1.0:
+        problems.append(f"constant term (atom at 0) must lie in [0, 1); got {coeffs[0]!r}")
+    law = PolynomialCdf(tuple(coeffs))
+    # DENSITY_TOL is an absolute slack, which means something only at unit mass
+    worst = None if problems else _monotone_violation(law._pieces[1][0])
+    if worst is not None:
+        problems.append(f"density dips to {worst:.3e} < -{DENSITY_TOL:g}: CDF not nondecreasing")
     if problems:
         raise NotACdf(problems)
-    return PolynomialCdf(tuple(_trimmed(coeffs)))
+    return law
 
 
-def _trimmed(coeffs) -> list[float]:
-    """Floats without trailing coefficients below TRIM_TOL; a tiny negative atom is 0."""
-    out = [float(c) for c in coeffs]
-    while len(out) > 1 and abs(out[-1]) < TRIM_TOL:
-        out.pop()
-    if -TRIM_TOL <= out[0] < 0.0:
-        out[0] = 0.0
-    return out
-
-
-def _piecewise_violations(breaks, polys) -> list[str]:
+def _piecewise_violations(law: PiecewisePolynomialCdf) -> list[str]:
+    """All invariant violations of a piecewise law (empty if valid); the value
+    checks read each piece's end weights, F(a) and F(b)."""
+    try:
+        breaks = [float(b) for b in law.breakpoints]
+        coeffs = [float(c) for poly in law.polys for c in poly]
+        if len(breaks) < 2 or len(law.polys) != len(breaks) - 1:
+            return ["need one polynomial per interval between breakpoints"]
+        if not all(map(len, law.polys)):
+            return ["every piece needs at least one coefficient"]
+    except (TypeError, ValueError):
+        return ["breakpoints and polys must be arrays of numbers"]
     problems = []
-    breaks = [float(b) for b in breaks]
-    if len(breaks) < 2 or len(polys) != len(breaks) - 1:
-        return ["need one polynomial per interval between breakpoints"]
     if breaks[0] != 0.0 or breaks[-1] != 1.0:
         problems.append("breakpoints must start at 0 and end at 1")
     if any(b1 >= b2 for b1, b2 in zip(breaks, breaks[1:])):
         problems.append("breakpoints must be strictly increasing")
         return problems
-    if any(not math.isfinite(c) for poly in polys for c in poly):
+    if any(not math.isfinite(c) for c in coeffs):
         return ["coefficients must be finite"]
-    for j in range(1, len(polys)):
-        left = _horner(polys[j - 1], breaks[j])
-        right = _horner(polys[j], breaks[j])
-        if abs(left - right) > 1e-12:
-            problems.append(
-                f"discontinuity {left - right:.3e} at breakpoint {breaks[j]!r}"
-            )
-    atom = _horner(polys[0], 0.0)
+    _, pieces = law._pieces
+    ends = [(cdf[0], cdf[-1]) for *_, (cdf, _) in pieces]
+    for j in range(1, len(pieces)):
+        gap = ends[j - 1][1] - ends[j][0]
+        if abs(gap) > 1e-12:
+            problems.append(f"discontinuity {gap:.3e} at breakpoint {breaks[j]!r}")
+    atom, final = ends[0][0], ends[-1][1]
     if not 0.0 <= atom < 1.0:
         problems.append(f"value at 0 (atom) must lie in [0, 1); got {atom!r}")
-    final = _horner(polys[-1], 1.0)
     if abs(final - 1.0) > 1e-12:
         problems.append(f"value at x = 1 must be 1; got {final!r}")
-    for j, poly in enumerate(polys):
-        worst = _monotone_violation(tuple(poly), breaks[j], breaks[j + 1])
+    if problems:  # as for a polynomial law: the density slack needs unit mass
+        return problems
+    for j, piece in enumerate(pieces):
+        worst = _monotone_violation(piece)
         if worst is not None:
-            problems.append(
-                f"density dips to {worst:.3e} on segment {j}: CDF not nondecreasing"
-            )
+            problems.append(f"density dips to {worst:.3e} on segment {j}: CDF not nondecreasing")
     return problems
 
 
@@ -382,22 +436,15 @@ def _require_law(dist, where: str, kinds=(PolynomialCdf, PiecewisePolynomialCdf)
         )
 
 
-def _recentered_coeffs(coeffs, k: int):
-    """Coefficients of s^k in p(lo + s): gamma_k(lo) = sum_{i>=k} c_i C(i,k) lo^{i-k}.
-
-    Returned as a descending-power coefficient list in lo, ready for polyval.
-    """
-    deg = len(coeffs) - 1
-    return [coeffs[i] * math.comb(i, k) for i in range(deg, k - 1, -1)]
-
-
 def _service_kernel(dist, rate: float, u: np.ndarray) -> np.ndarray:
     """H(u) = E[F_B(u + A)] for A ~ Exp(rate), in closed form at points u of [0, 1].
 
     The package's one integral of a law against the exponential service.
     The expectation splits at each polynomial breakpoint of F_B and at the
-    point where u + A leaves [0, 1]; each piece reduces to the stable
-    exponential-moment recurrence. No quadrature. H(0) = E[F_B(A)] =
+    point where u + A leaves [0, 1]. From lo = max(u, a) a piece [a, b]
+    contributes sum_k gamma_k w^(k+1) I_k, w = b - lo, with gamma_k =
+    F^(k)(lo)/k! from the law's Taylor rows and I_k the stable exponential
+    moments. No quadrature. H(0) = E[F_B(A)] =
     P[B <= A] = E[e^{-rate*B}], and its bits do not depend on the other
     points asked for: u = 0 has every piece's widest window, so it sets
     :func:`moment_grid`'s downward start wherever it takes that pass.
@@ -405,20 +452,18 @@ def _service_kernel(dist, rate: float, u: np.ndarray) -> np.ndarray:
     from ._moments import moment_grid
 
     total = np.exp(-rate * (1.0 - u))  # mass where u + A lands past 1
-    for a, b, coeffs in dist.segments():
+    for a, b, rows in dist._taylor:
         mask = u < b
         if not np.any(mask):
             continue
         um = u[mask]
         lo = np.maximum(um, a)
         width = b - lo
-        deg = len(coeffs) - 1
-        mom = moment_grid(deg, -rate * width)
+        mom = moment_grid(len(rows) - 1, -rate * width)
         inner = np.zeros_like(um)
         wpow = width
-        for k in range(deg + 1):
-            gamma = np.polyval(_recentered_coeffs(coeffs, k), lo)
-            inner += gamma * wpow * mom[k]
+        for k in range(len(rows)):
+            inner += _piece_sum((a, b, rows), k, lo) * wpow * mom[k]
             wpow = wpow * width
         total[mask] += rate * np.exp(-rate * (lo - um)) * inner
     return total
@@ -453,70 +498,29 @@ def inverse_cdf(dist, u: float) -> float:
     return float(inverse_cdf_array(dist, np.array([float(u)]))[0])
 
 
-def _split(a):
-    """Veltkamp's split of a into hi + lo, each of at most 26 significant bits."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _compensated_horner(hi, lo, x: np.ndarray):
-    """sum_i (hi[i] + lo[i]) * x^i as an unevaluated sum (value, correction).
-
-    Horner's rule that carries the rounding error of every product (Dekker's
-    two-product) and every sum (Knuth's two-sum) in a second polynomial, so
-    value + correction is as accurate as Horner run in twice the working
-    precision (Graillat, Langlois & Louvet, 2005). ``lo`` holds the low
-    parts of coefficients that are themselves rounded.
-    """
-    xh, xl = _split(x)
-    val = np.full_like(x, hi[-1])
-    err = np.full_like(x, lo[-1])
-    for a, b in zip(hi[-2::-1], lo[-2::-1]):
-        prod = val * x
-        vh, vl = _split(val)
-        prod_err = ((vh * xh - prod) + vh * xl + vl * xh) + vl * xl
-        val = prod + a
-        z = val - prod
-        sum_err = (prod - (val - z)) + (a - z)
-        err = err * x + ((prod_err + sum_err) + b)
-    return val, err
-
-
 def _inverse_table(dist):
     """The sampler's grid, local Taylor coefficients of F there, and guide.
 
     The grid is uniform with ``_SAMPLER_CELLS`` cells plus the law's
     breakpoints, so every cell lies in one polynomial piece. Row k of the
-    table holds F^(k)(x_j) / k! of the piece starting at or before x_j,
-    computed by compensated Horner from the exact coefficients c_i C(i, k);
-    row 0, the CDF values that bracket each draw, keeps its correction term
-    in ``low`` and ends at F(1) = 1. Across a cell of width 2^-12 the local
-    terms shrink fast, so F(x_j + s) from this table is good to about an ulp
-    even for fits whose monomial coefficients are large and cancel, where
-    plain Horner loses up to 5e-12 at order 20. The guide holds
+    table holds F^(k)(x_j) / k! of the piece starting at or before x_j, from
+    the law's Taylor rows (:func:`_taylor_rows`). Row 0, the CDF values
+    that bracket each draw, ends at F(1) = 1; its weights are nonnegative,
+    so it is good to a few ulps even for fits whose monomial coefficients
+    reach 1e12 and cancel. The guide holds
     searchsorted(row 0, k / m) at the edges of m equal deviate buckets.
     """
-    segments = dist.segments()
-    starts = [a for a, _, _ in segments]
+    starts, _ = dist._pieces
     grid = np.union1d(np.linspace(0.0, 1.0, _SAMPLER_CELLS + 1), starts)
     piece = np.searchsorted(starts, grid, side="right") - 1
-    taylor = np.zeros((max(len(c) for _, _, c in segments), grid.size))
-    low = np.zeros(grid.size)
-    for j, (_, _, coeffs) in enumerate(segments):
+    taylor = np.zeros((max(len(rows) for *_, rows in dist._taylor), grid.size))
+    for j, (a, b, rows) in enumerate(dist._taylor):
         at = piece == j
-        for k in range(len(coeffs)):
-            exact = [Fraction(c) * math.comb(i, k) for i, c in enumerate(coeffs) if i >= k]
-            hi = [float(v) for v in exact]
-            lo = [float(v - Fraction(h)) for v, h in zip(exact, hi)]
-            val, err = _compensated_horner(hi, lo, grid[at])
-            if k:
-                taylor[k, at] = val + err
-            else:
-                taylor[0, at], low[at] = val, err
-    taylor[0, -1], low[-1] = 1.0, 0.0
+        for k in range(len(rows)):
+            taylor[k, at] = _piece_sum((a, b, rows), k, grid[at])
+    taylor[0, -1] = 1.0
     guide = np.searchsorted(taylor[0], np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
-    return grid, taylor, low, guide
+    return grid, taylor, guide
 
 
 def _find_cells(values: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -555,12 +559,12 @@ def _newton_block(table, u: np.ndarray) -> np.ndarray:
     bracket is bisected. A draw is done once its Newton step drops below
     ``_NEWTON_TOL`` or its bracket below that width.
     """
-    grid, taylor, low, guide = table
+    grid, taylor, guide = table
     cell = _find_cells(taylor[0], guide, u) - 1
     start = taylor[0][cell]
     width = grid[cell + 1] - grid[cell]
     s = (u - start) / (taylor[0][cell + 1] - start) * width
-    base = (start - u) + low[cell]  # F(x_j) - u
+    base = start - u  # F(x_j) - u
     lo, hi = np.zeros_like(s), width
     out = np.empty_like(s)
     todo = np.arange(s.size)
@@ -661,14 +665,12 @@ def parse_distribution_spec(spec):
     if kind == "triangular":
         return triangular_cdf()
     if kind == "polynomial":
-        if "coeffs" not in spec:
-            raise NotACdf(["polynomial spec needs a 'coeffs' array"])
-        return validate(spec["coeffs"])
+        return validate(spec.get("coeffs"))
     if kind == "piecewise":
-        if "breaks" not in spec or "polys" not in spec:
-            raise NotACdf(["piecewise spec needs 'breaks' and 'polys' arrays"])
-        return PiecewisePolynomialCdf(
-            tuple(float(b) for b in spec["breaks"]),
-            tuple(tuple(float(c) for c in poly) for poly in spec["polys"]),
-        )
+        try:
+            breaks = tuple(float(b) for b in spec.get("breaks"))
+            polys = tuple(tuple(float(c) for c in poly) for poly in spec.get("polys"))
+        except (TypeError, ValueError) as exc:
+            raise NotACdf(["piecewise spec needs 'breaks' and 'polys' arrays of numbers"]) from exc
+        return PiecewisePolynomialCdf(breaks, polys)
     raise NotACdf([f"unknown distribution type {kind!r}"])

@@ -51,8 +51,8 @@ from ._numeric import DOUBLE, context_of
 from .distributions import (
     ExponentialService,
     PolynomialCdf,
-    _compensated_horner,
     _require_law,
+    eval_cdf,
 )
 from .errors import (
     ConvergenceFailure,
@@ -673,24 +673,20 @@ def integral_equation_residual(
              + mu int_{1-x}^1 f(y) dy = 0.
 
     f and F come from the solution's two series, F_B from ``prep`` by
-    compensated Horner (at high order its monomial coefficients reach 1e11
-    and cancel). The inner integrand is a polynomial, which Gauss-Legendre
-    with (deg F_B + terms) / 2 + 1 nodes integrates exactly. So the defect
-    vanishes only on the true law: moving the atom by 1% moves it above 1e-4.
+    :func:`eval_cdf`, in Bernstein form (at high order the monomial
+    coefficients reach 1e11 and would cancel). The inner integrand is a
+    polynomial, which Gauss-Legendre with (deg F_B + terms) / 2 + 1 nodes
+    integrates exactly. So the defect vanishes only on the true law: moving
+    the atom by 1% moves it above 1e-4.
     """
     x = np.atleast_1d(np.asarray(points, dtype=float)).reshape(-1)
-    c = np.asarray(prep.coeffs, dtype=float)
-
-    def fb(t):  # value plus correction
-        return sum(_compensated_horner(c, np.zeros_like(c), t))
-
     f, mass = sol.density_series, sol.integral_series
     nodes, weights = np.polynomial.legendre.leggauss((prep.degree + f.coef.size) // 2 + 1)
     b = 1.0 - x
     y = 0.5 * b[:, None] * (1.0 + nodes)  # the nodes mapped onto [0, 1 - x]
-    inner = 0.5 * b * ((fb(x[:, None] + y) * f(y)) @ weights)
+    inner = 0.5 * b * ((eval_cdf(prep, x[:, None] + y) * f(y)) @ weights)
     resid = f(x) + svc.rate * (
-        sol.pi0 * (fb(x) - 1.0) - mass(x) + inner + mass(1.0) - mass(b)
+        sol.pi0 * (eval_cdf(prep, x) - 1.0) - mass(x) + inner + mass(1.0) - mass(b)
     )
     return float(np.max(np.abs(resid), initial=0.0))
 

@@ -225,6 +225,15 @@ class TestValidityAndLimits:
                 fitted = bernstein_fit(dist, order)  # validate() runs inside
                 assert fitted.atom == pytest.approx(dist.atom, abs=1e-9)
 
+    def test_high_order_fits_of_a_narrow_piece_validate(self):
+        # the float-rounded fit is monotone (exactly, its density is at
+        # least 0.23 on a 4097-point grid), though Horner on its monomial
+        # derivative, which cancels, dipped to -0.56 at order 39
+        law = random_piecewise_cdf(np.random.default_rng(31), pieces=3)
+        for order in (39, 40):
+            fitted = bernstein_fit(law, order)
+            assert abs(math.fsum(fitted.coeffs) - 1.0) <= 1e-12
+
     def test_random_piecewise_fits_validate(self):
         rng = np.random.default_rng(77)
         for trial in range(6):

@@ -396,6 +396,26 @@ class TestErrorChannels:
         assert isinstance(err["violations"], list) and err["violations"]
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "polynomial", "coeffs": 5},
+            {"type": "polynomial", "coeffs": None},
+            {"type": "piecewise", "breaks": [0, 1], "polys": [5]},
+            {"type": "piecewise", "breaks": [0, 0.5, 1], "polys": [[], [0, 1]]},
+        ],
+        ids=["coeffs-number", "coeffs-null", "piece-number", "piece-empty"],
+    )
+    def test_malformed_spec_is_not_a_cdf(self, spec, capsys):
+        rc = main(["fit", "--dist", json.dumps(spec), "--order", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "NotACdf"
+        assert err["violations"]
+
+    @pytest.mark.parametrize(
         "argv,written",
         [
             (["fit", "--dist", "triangular", "--order", "3", "--out", "{missing}/x.json"],

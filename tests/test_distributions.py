@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import gammainc_contraction, random_polynomial_cdf
+from conftest import gammainc_contraction, random_piecewise_cdf, random_polynomial_cdf
 from lindley_alt import distributions
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
@@ -115,6 +115,29 @@ class TestEval:
         for bad in (0.0, -0.5, 1.0 + 1e-12):
             with pytest.raises(ValueError):
                 eval_density(uniform, bad)
+
+    def test_high_order_fits_match_mpmath(self, triangular):
+        # the float law itself, summed at 60 digits: the fits' monomial
+        # coefficients reach 5e12 at order 40 and cancel, their Bernstein
+        # weights do not
+        laws = [bernstein_fit(triangular, n) for n in range(1, 41)]
+        laws.append(random_piecewise_cdf(np.random.default_rng(29), pieces=4))
+        rng = np.random.default_rng(41)
+        for dist in laws:
+            breaks = getattr(dist, "breakpoints", (0.0, 1.0))
+            xs = np.concatenate(
+                [rng.random(200), np.arange(1, 33) / 32, breaks[1:], [2.0**-40, 1.0 - 2.0**-40]]
+            )
+            cdf, density = eval_cdf(dist, xs), eval_density(dist, xs)
+            assert [eval_cdf(dist, x) for x in xs.tolist()] == cdf.tolist()
+            assert [eval_density(dist, x) for x in xs.tolist()] == density.tolist()
+            with mpmath.workdps(60):
+                breaks, pieces = _mp_pieces(dist)
+                for x, value, slope in zip(xs.tolist(), cdf.tolist(), density.tolist()):
+                    poly = pieces[min(bisect_right(breaks, x), len(pieces)) - 1][0]
+                    want, want_slope = mpmath.polyval(poly, mpmath.mpf(x), derivative=True)
+                    assert abs(value - want) <= 1e-14, (dist, x)
+                    assert abs(slope - want_slope) <= 1e-13, (dist, x)
 
 
 class TestPiecewise:
@@ -257,10 +280,11 @@ class TestSampling:
             assert inverse_cdf(triangular, float(ui)) == pytest.approx(exact, abs=1e-12)
 
     def test_matches_mpmath_inverse(self, triangular):
-        # Bernstein fits of orders 1-20 (monomial coefficients up to 4e4 at
-        # order 20, where plain Horner loses 5e-12), the triangular law, a
-        # cubic whose density vanishes at 1/2 and a law with an atom
-        laws = [bernstein_fit(triangular, n) for n in range(1, 21)]
+        # Bernstein fits of orders 1-40 (monomial coefficients up to 4e4 at
+        # order 20 and 5e12 at order 40, where plain Horner loses 5e-12 and
+        # 6e-4), the triangular law, a cubic whose density vanishes at 1/2
+        # and a law with an atom
+        laws = [bernstein_fit(triangular, n) for n in range(1, 41)]
         laws += [triangular, validate([0.0, 3.0, -6.0, 4.0]), validate([0.25, 0.0, 0.75])]
         rng = np.random.default_rng(17)
         for dist in laws:
@@ -281,7 +305,7 @@ class TestSampling:
                         assert xi == (1.0 if ui >= 1.0 else 0.0)
                         continue
                     assert abs(_mp_eval(law, mpmath.mpf(xi)) - ui) <= 1e-14
-                    root, slope = _mp_inverse(law, ui)
+                    root, slope = _mp_inverse(law, ui, xi)
                     if slope > 1e-6:
                         assert abs(xi - root) <= 2e-13
 
@@ -348,10 +372,14 @@ def _mp_eval(law, x, derivative=0):
     return mpmath.polyval(pieces[piece][derivative], x)
 
 
-def _mp_inverse(law, u):
-    """Root of F(x) = u by 60 bisections at 40 digits, and F's slope there."""
-    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-    for _ in range(60):
+def _mp_inverse(law, u, guess):
+    """Root of F(x) = u by bisection at the working precision to a width
+    below 1e-18, and F's slope there. The bisection starts from
+    [guess - 1e-12, guess + 1e-12] when F brackets u there, else from [0, 1]."""
+    lo, hi = (mpmath.mpf(min(max(guess + d, 0.0), 1.0)) for d in (-1e-12, 1e-12))
+    if not _mp_eval(law, lo) < u <= _mp_eval(law, hi):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    while hi - lo > 1e-18:
         mid = (lo + hi) / 2
         if _mp_eval(law, mid) >= u:
             hi = mid
