@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import import_module
@@ -435,7 +436,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The variables through which a user picks OpenBLAS's thread count.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _single_blas_thread() -> None:
+    """Run numpy's BLAS on one thread in a process that has not loaded numpy.
+
+    The commands' BLAS work (solves of at most 42 x 42, ``np.roots``, one
+    1000 x ~20 product) is too small to split, yet OpenBLAS starts its worker
+    threads at import, which costs import time and then competes for the
+    cores. A thread count the user set is kept, and so is any numpy that an
+    embedding process loaded before calling :func:`main`.
+    """
+    if "numpy" in sys.modules or any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv=None) -> int:
+    _single_blas_thread()
     try:
         args = vars(build_parser().parse_args(argv))
         # without --dist, verify re-checks table1 CSV and reads nothing else

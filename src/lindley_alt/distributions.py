@@ -499,7 +499,7 @@ def inverse_cdf(dist, u: float) -> float:
 
 
 def _inverse_table(dist):
-    """The sampler's grid, local Taylor coefficients of F there, and guide.
+    """The sampler's grid, local Taylor coefficients of F there, guide and starts.
 
     The grid is uniform with ``_SAMPLER_CELLS`` cells plus the law's
     breakpoints, so every cell lies in one polynomial piece. Row k of the
@@ -508,7 +508,8 @@ def _inverse_table(dist):
     that bracket each draw, ends at F(1) = 1; its weights are nonnegative,
     so it is good to a few ulps even for fits whose monomial coefficients
     reach 1e12 and cancel. The guide holds
-    searchsorted(row 0, k / m) at the edges of m equal deviate buckets.
+    searchsorted(row 0, k / m) at the edges of m equal deviate buckets. The
+    last entry holds Newton's start in each cell (:func:`_hermite_starts`).
     """
     starts, _ = dist._pieces
     grid = np.union1d(np.linspace(0.0, 1.0, _SAMPLER_CELLS + 1), starts)
@@ -520,7 +521,44 @@ def _inverse_table(dist):
             taylor[k, at] = _piece_sum((a, b, rows), k, grid[at])
     taylor[0, -1] = 1.0
     guide = np.searchsorted(taylor[0], np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
-    return grid, taylor, guide
+    return grid, taylor, guide, _hermite_starts(grid, taylor)
+
+
+def _hermite_starts(grid: np.ndarray, taylor: np.ndarray) -> np.ndarray:
+    """Row k - 1 holds, per cell, the coefficient c_k of Newton's start
+    s(t) = c_1 t + ... + c_5 t^5, the offset from the cell's left end x_j
+    at t = (u - F(x_j)) / (F(x_{j+1}) - F(x_j)).
+
+    s is the quintic Hermite interpolant of the inverse CDF on the cell: it
+    matches x, dx/du = 1/f and d2x/du2 = -f'/f^3 at both ends (rows 0-2 of
+    the table), so its error shrinks like the sixth power of the cell's rise
+    and one Newton step finishes a draw. (The cubic, from x and 1/f alone,
+    leaves a second step to about one draw in fifteen on an order-5 fit, in
+    the tails, where f is small against f'.) A cell with an end density of
+    0, or with coefficients so large that the sum could overflow, starts
+    from linear interpolation, s = (x_{j+1} - x_j) t.
+    """
+    width = np.diff(grid)
+    rise = np.diff(taylor[0])
+    dens = taylor[1]
+    slope = 2.0 * taylor[2] if len(taylor) > 2 else np.zeros_like(dens)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d0, d1 = rise / dens[:-1], rise / dens[1:]  # ds/dt at t = 0 and 1
+        a0, a1 = -slope[:-1] * d0 * d0 / dens[:-1], -slope[1:] * d1 * d1 / dens[1:]
+        coeffs = np.array(
+            [
+                d0,
+                0.5 * a0,
+                10.0 * width - 6.0 * d0 - 4.0 * d1 - 1.5 * a0 + 0.5 * a1,
+                -15.0 * width + 8.0 * d0 + 7.0 * d1 + 1.5 * a0 - a1,
+                6.0 * width - 3.0 * d0 - 3.0 * d1 - 0.5 * a0 + 0.5 * a1,
+            ]
+        )
+        # for t in [0, 1] no partial sum exceeds sum |c_k|
+        ok = (dens[:-1] > 0.0) & (dens[1:] > 0.0) & np.isfinite(np.abs(coeffs).sum(axis=0))
+    coeffs[:, ~ok] = 0.0
+    coeffs[0, ~ok] = width[~ok]
+    return coeffs
 
 
 def _find_cells(values: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -551,19 +589,24 @@ def _find_cells(values: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
 def _newton_block(table, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF values of deviates in (atom, 1), by safeguarded Newton.
 
-    Each draw starts from linear interpolation inside its grid cell
-    [x_j, x_j + w] and iterates on the offset s in [0, w] with
+    Each draw starts inside its grid cell [x_j, x_j + w] from the cell's
+    Hermite interpolant of the inverse CDF (:func:`_hermite_starts`), clipped
+    to [0, w], and iterates on the offset s in [0, w] with
     F(x_j + s) - u = (F(x_j) - u) + s * (g_1 + g_2 s + ...), the cell's
     local Taylor form. The Newton step is taken while it stays inside the
     root's bracket, which every residual's sign narrows; otherwise the
     bracket is bisected. A draw is done once its Newton step drops below
     ``_NEWTON_TOL`` or its bracket below that width.
     """
-    grid, taylor, guide = table
+    grid, taylor, guide, hermite = table
     cell = _find_cells(taylor[0], guide, u) - 1
     start = taylor[0][cell]
     width = grid[cell + 1] - grid[cell]
-    s = (u - start) / (taylor[0][cell + 1] - start) * width
+    t = (u - start) / (taylor[0][cell + 1] - start)
+    s = hermite[-1][cell]
+    for row in hermite[-2::-1]:
+        s = s * t + row[cell]
+    s = np.clip(s * t, 0.0, width)
     base = start - u  # F(x_j) - u
     lo, hi = np.zeros_like(s), width
     out = np.empty_like(s)

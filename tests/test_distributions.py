@@ -336,6 +336,20 @@ class TestSampling:
         monkeypatch.setattr(distributions, "_SAMPLER_BLOCK", block)
         assert np.array_equal(inverse_cdf_array(law, u), want)
 
+    @pytest.mark.parametrize("name", ["triangular", "N3"])
+    def test_one_newton_pass_finishes_a_draw(self, monkeypatch, triangular, name):
+        # Newton starts from the Hermite interpolant of the inverse CDF, so a
+        # second pass moves no draw. N3 is CI's three-piece law, whose middle
+        # piece is 0.07 wide.
+        law = triangular
+        if name == "N3":
+            law = random_piecewise_cdf(np.random.default_rng(31), pieces=3)
+        law = bernstein_fit(law, 5)
+        u = np.random.default_rng(23).random(10**4)
+        want = inverse_cdf_array(law, u)
+        monkeypatch.setattr(distributions, "_NEWTON_ITERS", 1)
+        assert np.array_equal(inverse_cdf_array(law, u), want)
+
     def test_sample_is_in_support(self, triangular):
         rng = np.random.default_rng(5)
         draws = [sample(triangular, rng) for _ in range(100)]

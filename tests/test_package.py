@@ -6,13 +6,14 @@ or command in a fresh interpreter and read its ``sys.modules``.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import lindley_alt
-from lindley_alt.cli import RunConfig
+from lindley_alt.cli import _BLAS_THREAD_VARIABLES, RunConfig
 from lindley_alt.errors import InputError
 from lindley_alt.oracle import MIN_SIMULATION_STEPS
 
@@ -32,9 +33,20 @@ print(json.dumps([code, sorted(sys.modules)]))
 _LAYERS = ("solver", "_exact", "oracle", "bounds")
 
 
-def _fresh(script: str):
+#: Runs ``{body}`` and prints the variables it added, changed or removed.
+_ENV_CHANGES = """
+import contextlib, io, json, os
+before = dict(os.environ)
+{body}
+after = dict(os.environ)
+keys = before.keys() | after.keys()
+print(json.dumps({{k: after.get(k) for k in keys if before.get(k) != after.get(k)}}))
+"""
+
+
+def _fresh(script: str, env=None):
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -123,3 +135,35 @@ class TestImportBudget:
         assert code == 0
         assert "lindley_alt.solver" in modules
         assert not {"lindley_alt.oracle", "lindley_alt.bounds"} & modules
+
+
+def _env_changes(body: str, **user_env):
+    """What ``body`` changes in ``os.environ`` of a fresh process whose
+    environment sets no BLAS thread count beyond ``user_env``."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    return _fresh(_ENV_CHANGES.format(body=body), env={**env, **user_env})
+
+
+_FIT = (
+    "from lindley_alt.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['fit', '--dist', 'uniform', '--order', '2']) == 0"
+)
+
+
+class TestBlasThreads:
+    def test_main_runs_blas_on_one_thread(self):
+        assert _env_changes(_FIT) == {"OPENBLAS_NUM_THREADS": "1"}
+
+    @pytest.mark.parametrize("variable", _BLAS_THREAD_VARIABLES)
+    def test_a_users_thread_count_is_kept(self, variable):
+        assert _env_changes(_FIT, **{variable: "3"}) == {}
+
+    @pytest.mark.parametrize("module", ["lindley_alt", "lindley_alt.cli"])
+    def test_import_leaves_the_environment(self, module):
+        assert _env_changes(f"import {module}") == {}
+
+    def test_main_after_numpy_leaves_the_environment(self):
+        # the embedding process's BLAS has started; a variable set now would
+        # only reach its child processes
+        assert _env_changes("import numpy\n" + _FIT) == {}
