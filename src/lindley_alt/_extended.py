@@ -21,7 +21,6 @@ class _Extended:
     complex = mp.mpc
     exp = staticmethod(mp.exp)
     expm1 = staticmethod(mp.expm1)
-    polyval = staticmethod(mp.polyval)
     frexp = staticmethod(mp.frexp)
     ldexp = staticmethod(mp.ldexp)
     exp_array = staticmethod(np.frompyfunc(mp.exp, 1, 1))

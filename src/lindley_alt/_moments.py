@@ -5,26 +5,27 @@ exponential reduces to the family
 
     I_k(r) = integral_0^1 y^k * exp(r*y) dy,   k >= 0, r complex,
 
-computed here by stable recurrences in every parameter regime:
-
-* ``|r| < 1e-4``  — Taylor series (the recurrences lose all digits near 0),
-* moderate ``|r|`` — upward recurrence while it is contractive (k < |r|),
-  switching to a zero-seeded downward (Miller-style) pass above,
-* anchored variants ``integral_0^1 y^k exp(r*(y-1)) dy`` for arguments with a
-  large positive real part, where exp(r) itself would overflow.
+computed from integration by parts, r * I_k = E - k * I_{k-1} with E the
+integrand's value at y = 1: upward from the closed form of I_0 for orders
+k <= |r|, where that is contractive, and downward (Miller-style) from a zero
+seed above, which gives 1/(k+1) exactly at r = 0 (Gautschi, "Computational
+aspects of three-term recurrence relations", SIAM Review 9(1), 1967). The
+anchored table, exp(-r) * I_k(r), runs the same passes with E = 1 and stays
+finite where exp(r) overflows.
 
 Integrals of the solved law's density series do not come here: the
 integral-equation residual integrates that polynomial against the
 preparation CDF by Gauss-Legendre with enough nodes to be exact.
 
 The scalar entry point :func:`exp_weighted_moment` is the public contract
-(re-exported by :mod:`lindley_alt`); the array helpers are private to the
-package.
+(re-exported by :mod:`lindley_alt`); the tables are private to the package.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -35,27 +36,8 @@ __all__ = ["exp_weighted_moment"]
 #: Moment orders are capped: beyond this, callers should reformulate.
 MAX_ORDER = 64
 
-#: Below this magnitude the recurrences are replaced by the Taylor series.
-_TAYLOR_RADIUS = 1e-4
-
-
-def _taylor_moments(kmax: int, r, ctx) -> list:
-    """I_0..I_kmax by the series sum_m r^m / (m! * (k+m+1)), |r| small."""
-    eps, cap = ctx.eps, ctx.terms
-    out = []
-    for k in range(kmax + 1):
-        term = ctx.complex(1)  # r^m / m! at m = 0
-        total = term / (k + 1)
-        m = 0
-        while True:
-            m += 1
-            term *= r / m
-            inc = term / (k + m + 1)
-            total += inc
-            if abs(inc) <= eps * abs(total) or m > cap:
-                break
-        out.append(total)
-    return out
+#: ln(max float): the largest real part whose exp(r) is a finite double.
+MAX_REAL_RATE = math.log(sys.float_info.max)
 
 
 def _downward_start(kmax: int, mag, ctx=DOUBLE) -> int:
@@ -74,41 +56,35 @@ def _downward_start(kmax: int, mag, ctx=DOUBLE) -> int:
     return start
 
 
-def _moments(kmax: int, r, ctx=DOUBLE) -> list:
-    """I_0..I_kmax for one argument ``r`` of the numeric context ``ctx``
-    (internal, unvalidated)."""
-    mag = abs(r)
-    if mag < _TAYLOR_RADIUS:
-        return _taylor_moments(kmax, r, ctx)
-
-    er = ctx.exp(r)
-    out = [ctx.expm1(r) / r]
-    # Upward while contractive: the error amplification at step k is k/|r|.
-    k_up = min(kmax, int(mag))
-    for k in range(1, k_up + 1):
-        out.append((er - k * out[k - 1]) / r)
-    if k_up == kmax:
-        return out
-
-    # Downward (Miller-style) for the remaining orders, from a zero seed.
-    start = _downward_start(kmax, mag, ctx)
-    high = [ctx.complex(0)] * (start + 1)
-    for k in range(start, k_up + 1, -1):
-        high[k - 1] = (er - r * high[k]) / k
-    return out + high[k_up + 1 : kmax + 1]
-
-
-def _anchored_moments(kmax: int, r, ctx=DOUBLE) -> list:
-    """integral_0^1 y^k * exp(r*(y-1)) dy for k = 0..kmax (unvalidated)."""
-    if r.real <= 700.0:
-        scale = ctx.exp(-r)
-        return [scale * v for v in _moments(kmax, r, ctx)]
-    # exp(r) overflows: run the recurrence directly on the anchored values,
-    # where the upward pass is contractive because k/|r| << 1.
-    emr = ctx.exp(-r)  # underflows harmlessly toward 0
-    out = [(1 - emr) / r]
+# The two passes take Python complex, mpmath numbers or numpy arrays alike.
+def _upward(first, e, r, kmax: int) -> list:
+    """[I_0 .. I_kmax] from I_0 = ``first`` by I_k = (e - k I_{k-1}) / r."""
+    out = [first]
     for k in range(1, kmax + 1):
-        out.append((1 - k * out[k - 1]) / r)
+        out.append((e - k * out[-1]) / r)
+    return out
+
+
+def _downward(e, r, lo: int, kmax: int, start: int) -> list:
+    """[I_lo .. I_kmax] by I_{k-1} = (e - r I_k) / k from I_start = 0."""
+    cur, out = 0, []
+    for k in range(start, lo, -1):
+        cur = (e - r * cur) / k
+        if k <= kmax + 1:
+            out.append(cur)
+    return out[::-1]
+
+
+def _moments(kmax: int, r, ctx=DOUBLE, anchored: bool = False) -> list:
+    """I_0..I_kmax for one argument ``r`` of the context ``ctx``, or with
+    ``anchored`` exp(-r) * I_k (internal, unvalidated)."""
+    e = 1 if anchored else ctx.exp(r)
+    out = []
+    if r != 0:
+        first = -ctx.expm1(-r) / r if anchored else ctx.expm1(r) / r
+        out = _upward(first, e, r, min(kmax, int(abs(r))))
+    if len(out) <= kmax:
+        out += _downward(e, r, len(out), kmax, _downward_start(kmax, abs(r), ctx))
     return out
 
 
@@ -118,9 +94,10 @@ def exp_weighted_moment(k: int, r: complex) -> complex:
     Parameters
     ----------
     k:
-        Moment order, ``0 <= k <= 64``.
+        Moment order, an integer in [0, 64].
     r:
-        Complex exponential rate.
+        Complex exponential rate: finite, with ``Re r <= ln(max float)``
+        (about 709.78), where exp(r) is still a finite double.
 
     Returns
     -------
@@ -131,41 +108,34 @@ def exp_weighted_moment(k: int, r: complex) -> complex:
     Raises
     ------
     ValueError
-        If ``k`` is negative or exceeds the supported maximum order.
+        If ``k`` or ``r`` lies outside that domain.
     """
-    if not 0 <= k <= MAX_ORDER:
-        raise ValueError(f"moment order must be in [0, {MAX_ORDER}], got {k}")
-    return _moments(k, complex(r))[k]
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= MAX_ORDER:
+        raise ValueError(f"moment order must be an integer in [0, {MAX_ORDER}], got {k!r}")
+    r = complex(r)
+    if not cmath.isfinite(r) or r.real > MAX_REAL_RATE:
+        raise ValueError(
+            f"rate must be finite with real part <= ln(max float) = {MAX_REAL_RATE:.2f}, "
+            f"where exp(r) overflows double; got {r!r}"
+        )
+    return _moments(k, r)[k]
 
 
 def moment_grid(kmax: int, z: np.ndarray) -> np.ndarray:
     """Vectorized I_k over an array of nonpositive real arguments.
 
     Returns an array of shape ``(kmax + 1,) + z.shape`` with rows k = 0..kmax.
-    Entries with |z| > kmax take the upward recurrence at every order, where
-    it is contractive (k < |z|) and stays accurate after exp(z) underflows.
-    The others take the zero-seeded downward recurrence, whose start index
-    adapts to the largest of their magnitudes; it is exact at z = 0, where
-    it reproduces 1/(k+1).
+    Entries with |z| > kmax take the upward pass at every order, where it is
+    contractive and stays accurate after exp(z) underflows; the others take
+    the downward pass from the start their largest magnitude sets.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z > 0.0):
         raise ValueError("moment_grid expects nonpositive real arguments")
     rows = np.empty((kmax + 1,) + z.shape)
     up = -z > kmax
-    zd = z[~up]
-    ez = np.exp(zd)
-    cur = np.zeros_like(zd)
-    for k in range(_downward_start(kmax, float(np.max(-zd, initial=0.0))), 0, -1):
-        cur = (ez - zd * cur) / k
-        if k - 1 <= kmax:
-            rows[k - 1, ~up] = cur
-    zu = z[up]
-    ez = np.exp(zu)
-    cur = np.expm1(zu) / zu
-    rows[0, up] = cur
-    for k in range(1, kmax + 1):
-        cur = (ez - k * cur) / zu
-        rows[k, up] = cur
+    zd, zu = z[~up], z[up]
+    start = _downward_start(kmax, float(np.max(-zd, initial=0.0)))
+    rows[:, ~up] = _downward(np.exp(zd), zd, 0, kmax, start)
+    rows[:, up] = _upward(np.expm1(zu) / zu, np.exp(zu), zu, kmax)
     return rows
-

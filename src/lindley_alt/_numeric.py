@@ -1,11 +1,11 @@
 """The two numeric contexts a solve runs in.
 
 Every solver stage is written once, against the small protocol the two
-context objects share: ``exp``/``expm1``, ``polyval``, ``frexp``/``ldexp``,
-the complex constructor, conversion of exact rationals (``exact``,
-``real``), the sampler's ``pi``, ``exp_array``/``sin_array`` and
-``combine``, the tolerances of the moment recurrences and of the Newton
-polish, and a dense ``lu_solve`` that hands back the context's own numbers.
+context objects share: ``exp``/``expm1``, ``frexp``/``ldexp``, the complex
+constructor, conversion of exact rationals (``exact``, ``real``), the
+sampler's ``pi``, ``exp_array``/``sin_array`` and ``combine``, the
+tolerances of the moment recurrences and of the Newton polish, and a dense
+``lu_solve`` that hands back the context's own numbers.
 Python ``complex`` and mpmath ``mpc`` share their arithmetic operators, so a
 stage's body is the same in both; :func:`context_of` recovers the context
 from the numbers a stage is handed, and the solver picks it once per solve
@@ -92,8 +92,8 @@ class _Double:
     ldexp = staticmethod(math.ldexp)
     exp_array = staticmethod(np.exp)
     sin_array = staticmethod(np.sin)
-    #: relative accuracy of the moment series and zero-seeded recurrences,
-    #: and the cap on their terms
+    #: relative accuracy of the zero-seeded moment recurrences, and the cap
+    #: on their extra steps
     eps = 1e-18
     terms = 400
     #: Newton polish: stop below polish_tol, accept below accept_tol
@@ -112,17 +112,15 @@ class _Double:
 
     @staticmethod
     def exp(z):
-        return cmath.exp(z) if z.real <= 709.0 else complex(math.inf)
+        try:
+            return cmath.exp(z)
+        except OverflowError:
+            return complex(math.inf)
 
     @staticmethod
     def combine(weights: list, rows: list) -> np.ndarray:
         """sum_i weights[i] * rows[i] over arrays of equal length."""
         return np.asarray(weights) @ np.array(rows)
-
-    @staticmethod
-    def polyval(coeffs, x) -> complex:
-        """Horner, highest degree first (numpy's, rounding included)."""
-        return complex(np.polyval(coeffs, x))
 
     @staticmethod
     def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

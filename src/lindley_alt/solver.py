@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 
 from ._exact import EXTENDED_DEGREE, exact_char, exact_nu, safe_float
-from ._moments import _anchored_moments, _moments
+from ._moments import _moments
 from ._numeric import DOUBLE, context_of
 from .distributions import (
     ExponentialService,
@@ -195,41 +195,32 @@ def characteristic_polynomial(
     return tuple(float(v) for v in exact_char(nu_fr, svc.rate))
 
 
-def _char_value_and_scale(char_poly, r):
-    """Polynomial value at r and the cancellation scale sum |a_k| |r|^k."""
-    val = scale = 0
+def _char_terms(char_poly, r):
+    """Polynomial value and derivative at r, ascending coefficients, and
+    the cancellation scale sum |a_k| |r|^k, in one pass."""
+    val = dval = scale = 0
     mag = abs(r)
-    power = pmag = 1
-    for a in char_poly:
+    prev, power, pmag = 0, 1, 1  # r^(k-1), r^k, |r|^k
+    for k, a in enumerate(char_poly):
         val += a * power
+        dval += k * a * prev
         scale += abs(a) * pmag
-        power *= r
+        prev, power = power, power * r
         pmag *= mag
-    return val, scale
+    return val, dval, scale
 
 
-def _poly_value(poly, r):
-    """Polynomial value at r, ascending coefficients."""
-    val = 0
-    power = 1
-    for a in poly:
-        val += a * power
-        power *= r
-    return val
-
-
-def _polish(char_poly, dpoly, r, ctx):
+def _polish(char_poly, r, ctx):
     """Newton-polish one root of the characteristic polynomial in ``ctx``."""
     tol = ctx.polish_tol
     for _ in range(ctx.polish_iters):
-        val, scale = _char_value_and_scale(char_poly, r)
+        val, dval, scale = _char_terms(char_poly, r)
         if abs(val) <= tol * scale:
             return r
-        dval = _poly_value(dpoly, r)
         if dval == 0:
             break
         r -= val / dval
-    val, scale = _char_value_and_scale(char_poly, r)
+    val, _, scale = _char_terms(char_poly, r)
     if abs(val) > ctx.accept_tol * scale:
         raise ConvergenceFailure(
             f"Newton polish stalled at residual {float(abs(val) / scale):.2e} "
@@ -274,10 +265,9 @@ def find_roots(char_poly) -> np.ndarray:
                     f"(squared variable) are within relative distance "
                     f"{gap / scale:.2e} < {_REPEATED_ROOT_TOL:g}"
                 )
-    dpoly = [k * a for k, a in enumerate(char_poly)][1:]
     reps = [
         # principal square root: Re >= 0; Im > 0 on the axis
-        _polish(char_poly, dpoly, ctx.complex(cmath.sqrt(complex(s))), ctx)
+        _polish(char_poly, ctx.complex(cmath.sqrt(complex(s))), ctx)
         for s in s_roots
     ]
     for i in range(len(reps)):
@@ -335,13 +325,13 @@ def _pair_coefficients(r, nu, mu, n: int):
         If both coefficients vanish (only possible at a root collapsing onto
         the origin, which the repeated-root guard rejects earlier).
     """
-    if abs(r) >= 1:
-        head, rn = 0, 1
-        inv = 1 / r
-        for i in range(n):  # Horner in u = 1/r: sum_i nu_i u^{n-i}, nu_0 innermost
-            head = (head + nu[i]) * inv
+    if abs(r) >= 1:  # S(r) / r^n = sum_i nu_i u^(n-i), u = 1/r
+        x, coeffs, rn = 1 / r, [*nu[:n], 0], 1
     else:
-        head, rn = context_of(r).polyval(nu[:n][::-1], r), r**n
+        x, coeffs, rn = r, nu[n - 1 :: -1], r**n
+    head = 0
+    for a in coeffs:  # Horner, highest power first
+        head = head * x + a
     tail = rn * (r - mu)
     scale = max(abs(head), abs(tail))
     if not 0 < scale < math.inf:
@@ -358,13 +348,13 @@ def _basis_tables(basis, n: int, ctx):
         g_j(x) = head * exp(r*(x-1)) + tail * exp(-r*x),
 
     bounded by construction. Returns, for each mode: derivative values
-    g_j^{(m)}(0) and g_j^{(m)}(1) for m = 0..n, moments int_0^1 y^k g_j dy
-    for k = 0..n, and the total integral int_0^1 g_j dy.
+    g_j^{(m)}(0) and g_j^{(m)}(1) for m = 0..n, and moments
+    int_0^1 y^k g_j dy for k = 0..n (k = 0 is the total integral).
     """
-    at0, at1, mom, integral = [], [], [], []
+    at0, at1, mom = [], [], []
     for r, head, tail in basis:
         emr = ctx.exp(-r)
-        plus = _anchored_moments(n, r, ctx)
+        plus = _moments(n, r, ctx, anchored=True)
         minus = _moments(n, -r, ctx)
         rpow = npow = 1  # r^m, (-r)^m
         at0.append([])
@@ -375,9 +365,7 @@ def _basis_tables(basis, n: int, ctx):
             rpow *= r
             npow *= -r
         mom.append([head * p + tail * q for p, q in zip(plus, minus)])
-        # both pair members integrate to the same closed form
-        integral.append((head + tail) * (1 - emr) / r)
-    return at0, at1, mom, integral
+    return at0, at1, mom
 
 
 def assemble_linear_system(
@@ -398,7 +386,7 @@ def assemble_linear_system(
     c = [ctx.real(v) for v in prep.coeffs]
     n = prep.degree
     mu = ctx.real(svc.rate)
-    at0, at1, mom, integral = _basis_tables(basis, n, ctx)
+    at0, at1, mom = _basis_tables(basis, n, ctx)
     nmodes = len(basis)
     mat = [[0] * (nmodes + 1) for _ in range(nmodes + 1)]
 
@@ -425,7 +413,7 @@ def assemble_linear_system(
             mat[ell][j] = entry
         mat[ell][nmodes] = mu * math.factorial(ell) * c[ell]
     # Final row: normalization.
-    mat[nmodes] = integral + [1]
+    mat[nmodes] = [m[0] for m in mom] + [1]
     mat = np.array(mat)
     return mat, np.array([0] * nmodes + [1], dtype=mat.dtype)
 

@@ -1,8 +1,9 @@
 """Exponential-weighted moment family: I_k(r) = int_0^1 y^k e^{r y} dy.
 
 Frozen reference values were computed with mpmath at 50 digits; a live
-mpmath cross-check covers randomized arguments across all three evaluation
-regimes (Taylor, upward, downward recurrence).
+mpmath cross-check covers arguments in both directions of the recurrence
+(upward for orders up to |r|, zero-seeded downward above), the plain and the
+anchored table.
 """
 
 import math
@@ -11,12 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lindley_alt._moments import (
-    _anchored_moments,
-    _moments,
-    exp_weighted_moment,
-    moment_grid,
-)
+from lindley_alt._moments import _moments, exp_weighted_moment, moment_grid
 
 # (k, r, value) with value = int_0^1 y^k exp(r y) dy at 15 significant digits
 FROZEN = [
@@ -45,7 +41,8 @@ def test_zero_argument_is_exact():
 @pytest.mark.parametrize(
     "r",
     [1e-9, -1e-7, 0.5, -0.5, 3.0, -3.0, 40.0, -40.0, 300.0, -300.0,
-     2.0 + 5.0j, -1.0 + 30.0j, 0.001j, 100.0j, -200.0 + 1.0j],
+     2.0 + 5.0j, -1.0 + 30.0j, 0.001j, 100.0j, -200.0 + 1.0j,
+     5e-5, -5e-5, 1e-4, -1e-4, 2e-4, -2e-4],
 )
 def test_against_mpmath(r):
     # adaptive quadrature misses the spike of y^k e^{ry} near y=0 once r is
@@ -85,19 +82,55 @@ def test_domain_limits():
         exp_weighted_moment(65, 1.0)
 
 
+def test_rejects_non_integer_order():
+    with pytest.raises(ValueError, match=r"integer in \[0, 64\]"):
+        exp_weighted_moment(3.5, 1.0)
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+def test_rejects_non_finite_rate(r):
+    with pytest.raises(ValueError, match="finite"):
+        exp_weighted_moment(2, r)
+
+
+@pytest.mark.parametrize("r", [710.0, 800.0, 800.0 + 1.0j])
+def test_rejects_rate_whose_exponential_overflows(r):
+    with pytest.raises(ValueError, match=r"ln\(max float\) = 709\.78"):
+        exp_weighted_moment(2, r)
+
+
+def test_rate_just_below_overflow_is_finite():
+    # e^709.5 is a finite double; so is every moment up to the top order
+    mpmath.mp.dps = 40
+    for k in (0, 1, 64):
+        want = complex(mpmath.hyp1f1(k + 1, k + 2, 709.5) / (k + 1))
+        assert exp_weighted_moment(k, 709.5) == pytest.approx(want, rel=1e-12)
+
+
 class TestAnchored:
     """anchored[k] = int_0^1 y^k e^{r(y-1)} dy = e^{-r} * I_k(r), stably."""
+
+    @pytest.mark.parametrize(
+        "r", [1e-9, 5e-5, 2e-4, 0.3, 5.0 + 2.0j, 30.0j, 60.0, 700.5, 701.0, 800.0, 1e4]
+    )
+    def test_against_mpmath(self, r):
+        # Kummer: e^{-r} 1F1(k+1; k+2; r) = 1F1(1; k+2; -r), finite for any r
+        mpmath.mp.dps = 40
+        table = _moments(64, complex(r), anchored=True)
+        for k in (0, 1, 8, 33, 64):
+            want = complex(mpmath.hyp1f1(1, k + 2, -mpmath.mpmathify(r)) / (k + 1))
+            assert abs(table[k] - want) <= 1e-12 * abs(want)
 
     def test_matches_scaled_moments(self):
         for r in (0.3, -4.0, 12.0, 5.0 + 2.0j, 60.0):
             plain = np.asarray(_moments(20, complex(r)), dtype=complex)
-            anchored = np.asarray(_anchored_moments(20, complex(r)), dtype=complex)
+            anchored = np.asarray(_moments(20, complex(r), anchored=True), dtype=complex)
             scale = complex(np.exp(-np.asarray(r, dtype=complex)))
             np.testing.assert_allclose(anchored, plain * scale, rtol=1e-11)
 
     def test_huge_real_part_stays_finite(self):
         # e^r overflows near r = 710; the anchored form must not
-        anchored = _anchored_moments(10, complex(800.0))
+        anchored = _moments(10, complex(800.0), anchored=True)
         assert np.all(np.isfinite(anchored))
         # by parts: A_k = (1 - k A_{k-1}) / r for k >= 1 (boundary term vanishes)
         for k in range(1, 11):

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import mode_cdf, mode_density, random_polynomial_cdf
 from lindley_alt._exact import exact_char, exact_nu
-from lindley_alt._moments import _anchored_moments, _moments
+from lindley_alt._moments import _moments
 from lindley_alt._numeric import DOUBLE
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
@@ -240,7 +240,7 @@ def _residual_loop(sol, prep, svc, points):
             if b <= 0.0:
                 break
             r = m.root
-            plus = _anchored_moments(n, r * b)
+            plus = _moments(n, r * b, anchored=True)
             minus = _moments(n, -r * b)
             shift = cmath.exp(r * (b - 1.0))
             bpow = b
