@@ -23,8 +23,6 @@ class _Extended:
     expm1 = staticmethod(mp.expm1)
     frexp = staticmethod(mp.frexp)
     ldexp = staticmethod(mp.ldexp)
-    exp_array = staticmethod(np.frompyfunc(mp.exp, 1, 1))
-    sin_array = staticmethod(np.frompyfunc(mp.sin, 1, 1))
     polish_iters = 80
 
     @staticmethod
@@ -39,9 +37,7 @@ class _Extended:
         x = Fraction(x)
         return mp.mpf(x.numerator) / x.denominator
 
-    # pi and the tolerances follow the working precision set by precision(n)
-    pi = property(lambda self: +mp.pi)
-
+    # the tolerances follow the working precision set by precision(n)
     @property
     def eps(self) -> mp.mpf:
         return mp.mpf(10) ** (-(mp.mp.dps + 5))
@@ -55,11 +51,6 @@ class _Extended:
         return mp.mpf(10) ** (-(mp.mp.dps - 12))
 
     accept_tol = polish_tol
-
-    @staticmethod
-    def combine(weights: list, rows: list) -> np.ndarray:
-        """sum_i weights[i] * rows[i] by mpmath fdot, rounded to complex."""
-        return np.array([complex(mp.fdot(weights, col)) for col in zip(*rows)])
 
     @staticmethod
     def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[list, float]:

@@ -3,9 +3,9 @@
 Every solver stage is written once, against the small protocol the two
 context objects share: ``exp``/``expm1``, ``frexp``/``ldexp``, the complex
 constructor, conversion of exact rationals (``exact``, ``real``), the
-sampler's ``pi``, ``exp_array``/``sin_array`` and ``combine``, the
-tolerances of the moment recurrences and of the Newton polish, and a dense
-``lu_solve`` that hands back the context's own numbers.
+tolerances of the zero-seeded recurrences (moments and the density series'
+Bessel coefficients) and of the Newton polish, and a dense ``lu_solve``
+that hands back the context's own numbers.
 Python ``complex`` and mpmath ``mpc`` share their arithmetic operators, so a
 stage's body is the same in both; :func:`context_of` recovers the context
 from the numbers a stage is handed, and the solver picks it once per solve
@@ -86,14 +86,11 @@ class _Double:
 
     complex = complex
     real = float
-    pi = math.pi
     expm1 = staticmethod(_expm1c)
     frexp = staticmethod(math.frexp)
     ldexp = staticmethod(math.ldexp)
-    exp_array = staticmethod(np.exp)
-    sin_array = staticmethod(np.sin)
-    #: relative accuracy of the zero-seeded moment recurrences, and the cap
-    #: on their extra steps
+    #: relative accuracy of the zero-seeded recurrences, and the cap on the
+    #: moment recurrences' extra steps
     eps = 1e-18
     terms = 400
     #: Newton polish: stop below polish_tol, accept below accept_tol
@@ -116,11 +113,6 @@ class _Double:
             return cmath.exp(z)
         except OverflowError:
             return complex(math.inf)
-
-    @staticmethod
-    def combine(weights: list, rows: list) -> np.ndarray:
-        """sum_i weights[i] * rows[i] over arrays of equal length."""
-        return np.asarray(weights) @ np.array(rows)
 
     @staticmethod
     def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -22,9 +22,10 @@ Numerical backbone:
 * every integral in the linear system reduces to the closed-form moment
   family of :mod:`lindley_alt._moments`;
 * the law is evaluated from one real Chebyshev series of the density,
-  sampled from the mode mixture at the solve's working precision; the
-  residual integrates it against F_B by Gauss-Legendre, exact on that
-  polynomial;
+  read off the modes at the solve's working precision (each exponential's
+  coefficients are scaled modified Bessel values from a downward
+  recurrence); the residual integrates it against F_B by Gauss-Legendre,
+  exact on that polynomial;
 * the derivative-hierarchy weights and characteristic coefficients are
   assembled in exact rational arithmetic (they cancel catastrophically in
   floating point);
@@ -89,10 +90,11 @@ _REPEATED_ROOT_TOL = 1e-7
 #: Grid used by the solution's structural self-checks.
 _CHECK_GRID = 1025
 
-#: Chebyshev points of the density series: the first pass samples 2^4 + 1,
-#: and doubling stops at 2^16 + 1 (terms grow like 6 sqrt(mu) for mu >> 1).
-_SERIES_START = 1 << 4
-_SERIES_MAX = 1 << 16
+#: Most coefficients the density series may take (about 6 sqrt(mu) at mu >> 1).
+_SERIES_MAX = (1 << 16) + 1
+
+#: Most Gauss-Legendre nodes the integral-equation residual takes.
+_RESIDUAL_NODES = 1025
 
 #: Relative gap below which a pair column's head and tail count as equal in
 #: magnitude; the reported theta is then the one normalized to 1.
@@ -138,9 +140,10 @@ class WaitingTimeSolution:
 
     ``modes`` holds the representative half of each root pair, for
     :func:`solution_summary`. Evaluation reads ``density_series``, f on
-    [0, 1] as a Chebyshev series, and ``integral_series``, its integral from
-    0, so F = pi0 + that integral; they are derived data, left out of
-    equality and hashing. All invariants (normalization, realness,
+    [0, 1] as a Chebyshev series summed from the modes' closed-form
+    coefficients, and ``integral_series``, its integral from 0, so
+    F = pi0 + that integral; they are derived data, left out of equality
+    and hashing. All invariants (normalization, realness,
     nonnegativity) are verified before construction completes.
     """
 
@@ -459,8 +462,8 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     everything runs in equilibrated double precision with one step of
     iterative refinement; above that the assembly cancellation outgrows
     double precision and the same pipeline runs in exact rational /
-    extended-precision arithmetic. The density series is sampled from the
-    mode mixture in the same context, before the strengths are rounded.
+    extended-precision arithmetic. The density series is summed from the
+    modes in the same context, before the strengths are rounded.
 
     Raises
     ------
@@ -528,90 +531,60 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     return solution
 
 
-def _mode_terms(basis, strengths, x: np.ndarray, ctx) -> np.ndarray:
-    """Complex density values sum_j u_j g_j(x), rounded to double once.
-
-    The density series' sampler: it runs in the solve's context, on the
-    unrounded strengths. The points are mirrored (``x[::-1] == 1 - x`` to
-    the context's rounding), so one exp(-r*x) per point and mode serves both
-    pair members: exp(r*(x-1)) is the mirrored entry, and with Re r >= 0
-    neither overflows.
-    """
-    weights, rows = [], []
-    for (r, head, tail), u in zip(basis, strengths):
-        decay = ctx.exp_array(-r * x)
-        weights += [u * head, u * tail]
-        rows += [decay[::-1], decay]
-    return ctx.combine(weights, rows)
-
-
-def _chebyshev_points(m: int, ctx) -> np.ndarray:
-    """The m + 1 Chebyshev extrema sin^2(pi k / (2m)) of [0, 1] in the
-    context's reals, ascending and mirrored (x[::-1] == 1 - x)."""
-    return ctx.sin_array(np.arange(m + 1) * (ctx.pi / (2 * m))) ** 2
-
-
-def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients on [0, 1] of the interpolant through values at
-    :func:`_chebyshev_points`: a DCT-I, as the real FFT of the even extension
-    of the values ordered by t = 2x - 1 = cos(pi k / m)."""
-    v = values[::-1]
-    m = v.size - 1
-    coeffs = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / m
-    coeffs[[0, m]] /= 2.0
-    return coeffs
-
-
-def _standard_chop(coeffs: np.ndarray) -> int | None:
-    """How many leading coefficients to keep, or None while no plateau of
-    rounding noise shows: standardChop of Aurentz & Trefethen, "Chopping a
-    Chebyshev series", ACM TOMS 43(4), 2017, at tol = machine epsilon, with
-    their 1-based j, j2, j3."""
-    n, tol = coeffs.size, np.finfo(float).eps
-    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    if n < 17 or envelope[0] == 0.0:
-        return None if n < 17 else 1
-    envelope = envelope / envelope[0]
-    # the plateau: the first j whose envelope is nearly flat up to j2
-    j = np.arange(2, n + 1)
-    j2 = np.floor(1.25 * j + 5.5).astype(int)  # Matlab's round
-    j, j2 = j[j2 <= n], j2[j2 <= n]
-    e1, e2 = envelope[j - 1], envelope[j2 - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flat = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
-    if not np.any(flat):
-        return None
-    plateau, j2 = int(j[flat][0]) - 1, int(j2[flat][0])
-    if envelope[plateau - 1] == 0.0:
-        return plateau
-    # the cut: the lowest point of the envelope seen under a slight tilt
-    j3 = int(np.sum(envelope >= tol ** (7.0 / 6.0)))
-    if j3 < j2:
-        j2 = j3 + 1
-        envelope[j2 - 1] = tol ** (7.0 / 6.0)
-    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
-    return max(int(np.argmin(tilted)), 1)
+def _scaled_bessel(z, ctx) -> list:
+    """exp(-z) I_k(z), k = 0, 1, ..., by Miller's zero-seeded downward
+    recurrence I_{k-1} = (2k/z) I_k + I_{k+1}, normalized by
+    I_0 + 2 sum_k I_k = exp(z) (Gautschi, SIAM Review 9(1), 1967). It starts
+    where the dominant solution p_{k+1} = p_{k-1} - (2k/z) p_k, run forward
+    from (0, 1), first reaches 1/eps: an index estimate, so it runs in double
+    in every context. Raises :class:`PostconditionViolation` past
+    ``_SERIES_MAX`` coefficients."""
+    step, big = 2 / complex(z), 1 / float(ctx.eps)
+    prev, cur, start = 0.0, 1.0, 1
+    while abs(cur) < big:
+        if start + 1 >= _SERIES_MAX:
+            root = 2 * complex(z)
+            raise PostconditionViolation(
+                "density_series", f"unresolved within {_SERIES_MAX} terms at root {root:.6g}"
+            )
+        prev, cur, start = cur, prev - start * step * cur, start + 1
+    step, nxt, cur = 2 / z, 0, 1
+    out = [cur]
+    for k in range(start, 0, -1):
+        nxt, cur = cur, k * step * cur + nxt
+        out.append(cur)
+    out.reverse()
+    scale = 1 / (2 * sum(out) - out[0])
+    return [v * scale for v in out]
 
 
 def _density_series(basis, strengths, ctx) -> Chebyshev:
     """The density as one real Chebyshev series on [0, 1], chopped.
 
-    Doubles the sample points, keeping every sample, until
-    :func:`_standard_chop` finds the rounding plateau. Raises
-    :class:`PostconditionViolation` if none shows by the last point count,
-    or if the samples' imaginary residue (checked here, once) exceeds 1e-8.
+    On t = 2x - 1, with z = r / 2, a pair's exp(r*(x-1)) and exp(-r*x) are
+    exp(-z) exp(+-z t), whose coefficients are eps_k exp(-z) I_k(z) times 1
+    and (-1)^k (Abramowitz & Stegun 9.6.34; eps_0 = 1, else 2); Re r >= 0,
+    so nothing overflows. The modes are summed in ``ctx`` on the unrounded
+    strengths and rounded to complex once. Keeps the shortest prefix whose
+    dropped tail sum |c_k| is at most machine epsilon times the whole sum.
+    Raises :class:`PostconditionViolation` if sum |Im c_k|, a bound on
+    |Im f| over [0, 1], exceeds 1e-8.
     """
-    m = _SERIES_START
-    samples = _mode_terms(basis, strengths, _chebyshev_points(m, ctx), ctx)
-    while (keep := _standard_chop(coeffs := _chebyshev_coefficients(samples.real))) is None:
-        if m == _SERIES_MAX:
-            raise PostconditionViolation("density_series", f"unresolved at {m + 1} points")
-        m *= 2
-        finer = _mode_terms(basis, strengths, _chebyshev_points(m, ctx)[1::2], ctx)
-        samples = np.append(np.column_stack([samples[:-1], finer]).ravel(), samples[-1])
-    worst = float(np.max(np.abs(samples.imag)))
-    if worst > 1e-8:
-        raise PostconditionViolation("density_real", f"max |Im f| = {worst:.3e}")
+    total = []
+    for (r, head, tail), u in zip(basis, strengths):
+        bessel = _scaled_bessel(r / 2, ctx)
+        even, odd = 2 * u * (head + tail), 2 * u * (head - tail)
+        total += [0] * (len(bessel) - len(total))
+        for k, b in enumerate(bessel):
+            total[k] += b * (odd if k % 2 else even)
+    total[0] /= 2
+    coeffs = np.array([complex(c) for c in total])
+    residue = float(np.sum(np.abs(coeffs.imag)))
+    if residue > 1e-8:
+        raise PostconditionViolation("density_real", f"sum |Im c_k| = {residue:.3e}")
+    coeffs = coeffs.real
+    dropped = np.cumsum(np.abs(coeffs[::-1]))[::-1]  # dropped[k] = sum_{j >= k} |c_j|
+    keep = max(int(np.count_nonzero(dropped > np.finfo(float).eps * dropped[0])), 1)
     return Chebyshev(coeffs[:keep], domain=[0.0, 1.0])
 
 
@@ -666,10 +639,23 @@ def integral_equation_residual(
     polynomial, which Gauss-Legendre with (deg F_B + terms) / 2 + 1 nodes
     integrates exactly. So the defect vanishes only on the true law: moving
     the atom by 1% moves it above 1e-4.
+
+    Raises
+    ------
+    InputError
+        If that takes more than ``_RESIDUAL_NODES`` nodes: the node rule
+        needs memory quadratic in the count (26,058 nodes asked for 5 GiB).
     """
-    x = np.atleast_1d(np.asarray(points, dtype=float)).reshape(-1)
     f, mass = sol.density_series, sol.integral_series
-    nodes, weights = np.polynomial.legendre.leggauss((prep.degree + f.coef.size) // 2 + 1)
+    count = (prep.degree + f.coef.size) // 2 + 1
+    if count > _RESIDUAL_NODES:
+        raise InputError(
+            f"the integral-equation residual supports density series of up to "
+            f"{2 * _RESIDUAL_NODES - 1 - prep.degree} terms (mu up to about 1e5); "
+            f"this one has {f.coef.size}"
+        )
+    x = np.atleast_1d(np.asarray(points, dtype=float)).reshape(-1)
+    nodes, weights = np.polynomial.legendre.leggauss(count)
     b = 1.0 - x
     y = 0.5 * b[:, None] * (1.0 + nodes)  # the nodes mapped onto [0, 1 - x]
     inner = 0.5 * b * ((eval_cdf(prep, x[:, None] + y) * f(y)) @ weights)

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,6 +36,8 @@ from lindley_alt.errors import (
     RepeatedRoot,
 )
 from lindley_alt.solver import (
+    _density_series,
+    _scaled_bessel,
     characteristic_polynomial,
     eval_waiting_cdf,
     eval_waiting_density,
@@ -221,6 +224,25 @@ class TestResidualOracle:
             assert eval_waiting_cdf(sol, 1.0) == pytest.approx(1.0, abs=1e-10)
             assert 0.0 < sol.pi0 < 1.0
 
+    def test_long_series_is_refused_before_the_node_rule(self, monkeypatch):
+        # mu = 1e8 takes about 57,000 terms, and leggauss would ask for a
+        # matrix of several GiB; the refusal must come before that call
+        def no_nodes(count):
+            raise AssertionError(f"leggauss({count}) called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_nodes)
+        svc = ExponentialService(1e8)
+        sol = solve(validate([0.0, 1.0]), svc)
+        with pytest.raises(InputError, match=f"{sol.density_series.coef.size}"):
+            integral_equation_residual(sol, validate([0.0, 1.0]), svc, [0.5])
+
+    def test_series_within_the_node_cap_is_checked(self):
+        svc = ExponentialService(1e4)
+        sol = solve(validate([0.0, 1.0]), svc)
+        assert sol.density_series.coef.size > 500
+        pts = np.linspace(0.001, 1.0, 50)
+        assert integral_equation_residual(sol, validate([0.0, 1.0]), svc, pts) < 1e-7
+
 
 def _residual_loop(sol, prep, svc, points):
     """The per-point, per-mode residual in closed form: shifted moment
@@ -328,7 +350,7 @@ class TestDensitySeries:
             assert float(np.max(np.abs(cdf - mode_cdf(sol, self.XS)))) <= 1e-11
 
     def test_unresolved_series_is_refused(self, monkeypatch):
-        # mu = 1000 needs about 180 terms; 17 points cannot show a plateau
+        # mu = 1000 needs about 180 terms, more than a cap of 16
         import lindley_alt.solver as solver_module
 
         monkeypatch.setattr(solver_module, "_SERIES_MAX", 1 << 4)
@@ -344,6 +366,63 @@ class TestDensitySeries:
         assert float(np.min(sol.density_series(np.linspace(0.0, 1.0, 4097)))) >= 0.0
         resid = integral_equation_residual(sol, fit, svc, np.linspace(0.0, 1.0, 1001))
         assert resid < 1e-12
+
+    def test_imaginary_residue_is_refused(self):
+        sol = solve(bernstein_fit(triangular_cdf(), 5), ExponentialService(1.0))
+        basis = [(m.root, m.head, m.tail) for m in sol.modes]
+        strengths = [m.strength for m in sol.modes]
+        assert sol.modes[1].root.imag != 0.0
+        assert _density_series(basis, strengths, DOUBLE).coef.size > 1
+        strengths[1] *= cmath.exp(1e-6j)  # its conjugate partner keeps its own
+        with pytest.raises(PostconditionViolation, match="density_real"):
+            _density_series(basis, strengths, DOUBLE)
+
+
+def _scaled_bessel_reference(z, top: int, dps: int) -> list:
+    """exp(-z) I_k(z), k = 0..top, at ``dps`` digits: mpmath besseli at the
+    two top orders, then I_{k-1} = (2k/z) I_k + I_{k+1} downward from those
+    exact values, where I_k is the recurrence's minimal solution."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(z)
+        scale = mpmath.exp(-z)
+        out = [scale * mpmath.besseli(top, z), scale * mpmath.besseli(top - 1, z)]
+        for k in range(top - 1, 0, -1):
+            out.append(2 * k / z * out[-1] + out[-2])
+        return out[::-1]
+
+
+class TestBesselCoefficients:
+    """exp(-z) I_k(z) from Miller's zero-seeded recurrence, at every order
+    up to its start, on real, imaginary and complex arguments. A start that
+    reads only |z| begins too early on the imaginary axis (8e-3 off at
+    z = 100j)."""
+
+    ZS = [0.01, 1.0, 2.5 + 3j, 50j, 100j, 1000j, 300 + 300j, 5000.0]
+
+    @pytest.mark.parametrize("z", ZS)
+    def test_double_matches_besseli(self, z):
+        got = _scaled_bessel(complex(z), DOUBLE)
+        want = _scaled_bessel_reference(z, len(got) - 1, 40)
+        assert max(abs(g - complex(w)) for g, w in zip(got, want)) <= 1e-14
+
+    @pytest.mark.parametrize("z", ZS)
+    def test_extended_matches_higher_precision(self, z):
+        from lindley_alt._extended import EXTENDED
+
+        dps = 60
+        with mpmath.workdps(dps):
+            got = _scaled_bessel(mpmath.mpc(z), EXTENDED)
+        want = _scaled_bessel_reference(z, len(got) - 1, dps + 20)
+        with mpmath.workdps(dps + 20):
+            assert max(abs(g - w) for g, w in zip(got, want)) <= mpmath.mpf(10) ** (10 - dps)
+
+    def test_reference_is_besseli(self):
+        z = 100j
+        want = _scaled_bessel_reference(z, 200, 40)
+        with mpmath.workdps(40):
+            for k in (0, 1, 50, 100):
+                direct = mpmath.exp(-mpmath.mpc(z)) * mpmath.besseli(k, mpmath.mpc(z))
+                assert abs(want[k] - direct) <= mpmath.mpf(10) ** -30
 
 
 def _exact_nu_fractions(coeffs, rate):
