@@ -49,7 +49,8 @@ from .errors import (
 
 __version__ = "1.0.0"
 
-#: Home module of every public name other than the error types.
+#: Home module of every public name other than the error types; the CLI
+#: binds the names its commands call from this table too.
 _LAZY = {
     "distributions": (
         "ExponentialService",

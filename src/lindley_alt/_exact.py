@@ -76,11 +76,3 @@ def exact_char(nu_fr: list[Fraction], rate: float) -> list[Fraction]:
             "odd characteristic coefficients nonzero in exact arithmetic"
         )
     return [Fraction(v, scale) for v in coeffs]
-
-
-def safe_float(x: Fraction) -> float:
-    """Fraction to double, saturating to +-inf instead of raising."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf

@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 
 from ._numeric import equilibrate, working_dps
+from .errors import DegenerateMode
 
 
 class _Extended:
@@ -29,7 +30,7 @@ class _Extended:
     def precision(n: int):
         return mp.workdps(working_dps(n))
 
-    exact = staticmethod(list)  # the exact rationals themselves
+    exact = staticmethod(lambda values, rate: list(values))  # the exact rationals themselves
 
     @staticmethod
     def real(x) -> mp.mpf:
@@ -43,10 +44,6 @@ class _Extended:
         return mp.mpf(10) ** (-(mp.mp.dps + 5))
 
     @property
-    def terms(self) -> int:
-        return 40 * mp.mp.dps
-
-    @property
     def polish_tol(self) -> mp.mpf:
         return mp.mpf(10) ** (-(mp.mp.dps - 12))
 
@@ -55,8 +52,12 @@ class _Extended:
     @staticmethod
     def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[list, float]:
         """Solution at working precision; the condition number is the
-        diagnostic one of the equilibrated double image."""
-        sol = mp.lu_solve(mp.matrix(mat.tolist()), mp.matrix(rhs.tolist()))
+        diagnostic one of the equilibrated double image. A system singular
+        at working precision raises :class:`DegenerateMode`."""
+        try:
+            sol = mp.lu_solve(mp.matrix(mat.tolist()), mp.matrix(rhs.tolist()))
+        except ZeroDivisionError as exc:
+            raise DegenerateMode(f"mode system: {exc} at {mp.mp.dps} digits") from None
         scaled, _, _ = equilibrate(mat.astype(complex))
         cond = float(np.linalg.cond(scaled))
         return list(sol), cond

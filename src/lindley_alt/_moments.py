@@ -50,7 +50,7 @@ def _downward_start(kmax: int, mag, ctx=DOUBLE) -> int:
     mag, eps = float(mag), float(ctx.eps)
     start = max(kmax, math.ceil(mag))
     shrink = 1.0
-    while shrink > eps and start < kmax + ctx.terms:
+    while shrink > eps:
         start += 1
         shrink *= min(1.0, mag / start)
     return start

@@ -5,7 +5,9 @@ context objects share: ``exp``/``expm1``, ``frexp``/``ldexp``, the complex
 constructor, conversion of exact rationals (``exact``, ``real``), the
 tolerances of the zero-seeded recurrences (moments and the density series'
 Bessel coefficients) and of the Newton polish, and a dense ``lu_solve``
-that hands back the context's own numbers.
+that hands back the context's own numbers. The moment recurrences have no
+step cap: they run downward only at orders j above |r|, where each step
+shrinks the zero seed's error by |r|/j < 1.
 Python ``complex`` and mpmath ``mpc`` share their arithmetic operators, so a
 stage's body is the same in both; :func:`context_of` recovers the context
 from the numbers a stage is handed, and the solver picks it once per solve
@@ -30,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InputError
 
 #: Working decimal digits of the extended context as a function of degree.
 #: The cancellation depth of the weight sums and tail evaluations grows like
@@ -89,10 +92,8 @@ class _Double:
     expm1 = staticmethod(_expm1c)
     frexp = staticmethod(math.frexp)
     ldexp = staticmethod(math.ldexp)
-    #: relative accuracy of the zero-seeded recurrences, and the cap on the
-    #: moment recurrences' extra steps
+    #: relative accuracy of the zero-seeded recurrences
     eps = 1e-18
-    terms = 400
     #: Newton polish: stop below polish_tol, accept below accept_tol
     polish_tol = 1e-13
     accept_tol = 1e-12
@@ -103,9 +104,20 @@ class _Double:
         return contextlib.nullcontext()
 
     @staticmethod
-    def exact(values: list[Fraction]) -> list[Fraction]:
-        """The rationals this context starts from: each rounded to double."""
-        return [Fraction(float(v)) for v in values]
+    def exact(values: list[Fraction], rate: float) -> list[Fraction]:
+        """The rationals this context starts from: each rounded to double. A
+        nonzero one with no finite nonzero double is an InputError naming mu."""
+        out = []
+        for v in values:
+            try:
+                x = float(v)
+            except OverflowError:
+                x = math.inf
+            if v and not 0 < abs(x) < math.inf:
+                what = "overflows" if x else "underflows"
+                raise InputError(f"mu = {rate!r} is out of range: a coefficient {what} double")
+            out.append(Fraction(x))
+        return out
 
     @staticmethod
     def exp(z):

@@ -34,48 +34,32 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from importlib import import_module
 
-from . import __version__
+from . import _HOME, _LAZY, __version__
 from .errors import InputError, NotACdf, NumericalError
 
 __all__ = ["RunConfig", "main"]
 
-#: The layer names the commands call, by home module. They are bound on
-#: this module when a command runs (:func:`_bind`, for the layers listed in
-#: ``_COMMANDS``) or on first attribute access, never at import, so a
-#: process loads only the layers its command calls.
-_LAYERS = {
-    "distributions": ("ExponentialService", "PolynomialCdf", "eval_cdf", "triangular_cdf"),
-    "bernstein": ("bernstein_fit", "fit_report"),
-    "solver": ("eval_waiting_cdf", "solution_summary", "solve"),
-    "oracle": ("FixedPointProblem", "density_estimate", "fixed_point_solve", "ks_distance",
-               "simulate"),
-    "bounds": ("certify_approximation",),
-}
-_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
-
-
-def _load(name: str):
-    return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
-
 
 def __getattr__(name):
-    """Bind a layer name on first access from outside (PEP 562)."""
+    """Bind a name of the package's lazy table (``_LAZY``) on first access
+    (PEP 562). Names are bound on this module when a command runs
+    (:func:`_bind`, for the layers listed in ``_COMMANDS``) or on first
+    access from outside, never at import, so a process loads only the layers
+    its command calls."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = _load(name)
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
 def _bind(layers) -> None:
     """Bind the names of ``layers`` that are not bound yet; a value already
     bound (a test's patch, a tracer's wrapper) is what the command calls."""
-    bound = globals()
     for layer in layers:
-        for name in _LAYERS[layer]:
-            if name not in bound:
-                bound[name] = _load(name)
+        for name in _LAZY[layer]:
+            if name not in globals():
+                __getattr__(name)
 
 
 #: Sample points in solve/figure CSV tables (2**10 + 1).
@@ -296,26 +280,29 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _verify_table1_stream(config: RunConfig) -> int:
-    """Recompute table1 through the same code path and compare at 1e-9."""
+    """Recompute table1 through the same code path and compare at 1e-9: each
+    row once, with the header's cells; a gap that is not finite fails."""
+    import numpy as np
+
     reader = sys.stdin.read().strip().splitlines()
     if not reader:
         raise InputError("verify: no --dist given and nothing on stdin")
-    header = reader[0].split(",")
-    if tuple(header) != _TABLE1_HEADER:
-        raise InputError(
-            f"verify: stdin is not table1 output (header {reader[0]!r})"
-        )
+    if tuple(reader[0].split(",")) != _TABLE1_HEADER:
+        raise InputError(f"verify: stdin is not table1 output (header {reader[0]!r})")
     expected = {}
     for line in reader[1:]:
         cells = line.split(",")
+        if len(cells) != len(_TABLE1_HEADER) or int(cells[0]) in expected:
+            raise InputError(f"verify: malformed or repeated table1 row {line!r}")
         expected[int(cells[0])] = [float(c) for c in cells[1:]]
-    rows = {row[0]: list(row[1:]) for row in _table1_rows()}
+    if sorted(expected) != list(_BENCH_ORDERS):
+        raise InputError(
+            f"verify: table1 rows are n = {sorted(expected)}, not n = {list(_BENCH_ORDERS)}"
+        )
     lines = []
     failures = 0
-    for n, got in sorted(expected.items()):
-        if n not in rows:
-            raise InputError(f"verify: unexpected table1 row n={n}")
-        worst = max(abs(a - b) for a, b in zip(got, rows[n]))
+    for n, *want in _table1_rows():
+        worst = float(np.max(np.abs(np.subtract(expected[n], want))))  # NaN propagates
         ok = worst <= 1e-9
         failures += 0 if ok else 1
         lines.append(f"{'PASS' if ok else 'FAIL'}  table1 row n={n:<3} max gap {worst:.3e}")
@@ -404,7 +391,7 @@ _FLAGS = {
 }
 
 #: Each subcommand: its handler, help line, the only flags it reads, and the
-#: layers (keys of _LAYERS) whose names it calls.
+#: layers (keys of the package's _LAZY) whose names it calls.
 _COMMANDS = {
     "solve": (cmd_solve, "exact solution for a polynomial preparation CDF",
               ("dist", "mu", "order", "out", "format"), ("distributions", "bernstein", "solver")),
@@ -413,7 +400,8 @@ _COMMANDS = {
     "bound": (cmd_bound, "certified approximation error bound",
               ("dist", "mu", "order", "grid", "out"), ("bounds",)),
     "verify": (cmd_verify, "cross-check a spec (or table1 CSV on stdin)",
-               ("dist", "mu", "order", "grid", "samples", "seed", "out"), tuple(_LAYERS)),
+               ("dist", "mu", "order", "grid", "samples", "seed", "out"),
+               ("distributions", "bernstein", "solver", "oracle", "bounds")),
     "table1": (cmd_table1, "benchmark table: triangular, mu=1, n=1,5,10", ("out",),
                ("distributions", "bounds")),
     "figure1": (cmd_figure1, "benchmark figure data as two CSV files", ("out",),

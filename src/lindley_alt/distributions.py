@@ -41,7 +41,6 @@ __all__ = [
     "eval_cdf",
     "eval_density",
     "validate",
-    "cdf_violations",
     "prob_B_greater_A",
     "inverse_cdf",
     "sample",
@@ -333,15 +332,6 @@ def _monotone_violation(piece) -> float | None:
         if worst < -DENSITY_TOL:
             return worst
     return None
-
-
-def cdf_violations(coeffs) -> list[str]:
-    """All invariant violations of a coefficient sequence (empty if valid)."""
-    try:
-        validate(coeffs)
-    except NotACdf as exc:
-        return list(exc.violations)
-    return []
 
 
 def validate(coeffs) -> PolynomialCdf:

@@ -8,8 +8,6 @@ mapping) can distinguish bad *inputs* from *numerical* breakdowns:
 * advisory only: :class:`IllConditioned` (a warning — the solve still returns)
 """
 
-from __future__ import annotations
-
 __all__ = [
     "LindleyAltError",
     "InputError",
@@ -91,7 +89,8 @@ class PairingFailure(NumericalError):
 
 
 class DegenerateMode(NumericalError):
-    """A pair's mode column vanished (a repeated root leaked through)."""
+    """A pair's mode column vanished (a repeated root leaked through), or
+    the mode system is singular at working precision."""
 
 
 class PostconditionViolation(NumericalError):

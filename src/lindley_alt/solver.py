@@ -41,12 +41,11 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from ._exact import EXTENDED_DEGREE, exact_char, exact_nu, safe_float
+from ._exact import EXTENDED_DEGREE, exact_char, exact_nu
 from ._moments import _moments
 from ._numeric import DOUBLE, context_of
 from .distributions import (
@@ -66,11 +65,8 @@ from .errors import (
 )
 
 __all__ = [
-    "CharacteristicSystem",
     "Mode",
     "WaitingTimeSolution",
-    "nu_coefficients",
-    "characteristic_polynomial",
     "find_roots",
     "pair_roots",
     "assemble_linear_system",
@@ -99,21 +95,6 @@ _RESIDUAL_NODES = 1025
 #: Relative gap below which a pair column's head and tail count as equal in
 #: magnitude; the reported theta is then the one normalized to 1.
 _NORMALIZATION_TIE = 1e-12
-
-
-@dataclass(frozen=True)
-class CharacteristicSystem:
-    """Derivative-hierarchy weights and the characteristic polynomial.
-
-    ``nu[m]`` = mu * sum_i ((i + n - m)! / i!) * c_{i+n-m}; ``char_poly``
-    holds ascending coefficients of the even degree-(2n+2) polynomial whose
-    roots generate the density's exponential modes.
-    """
-
-    nu: tuple[float, ...]
-    char_poly: tuple[float, ...]
-    rate: float
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -164,38 +145,6 @@ class WaitingTimeSolution:
 
     def cdf(self, x):
         return eval_waiting_cdf(self, x)
-
-
-def nu_coefficients(prep: PolynomialCdf, svc: ExponentialService) -> tuple[float, ...]:
-    """Weights of the derivative hierarchy that closes the integral equation.
-
-    nu[m] = mu * sum_{i=0}^{m} ((i + n - m)! / i!) * c_{i+n-m}, m = 0..n.
-    Evaluated in exact rational arithmetic and rounded once: the terms
-    alternate in sign with magnitudes up to n! * max|c|, so a floating-point
-    accumulation loses roughly log10(n!) digits — total loss of significance
-    well inside the supported degree range. Every input is a dyadic
-    rational, which makes the exact path lossless and cheap. The top weight
-    equals the rate exactly (its defining sum is the coefficient total,
-    1 for every valid CDF).
-    """
-    return tuple(float(v) for v in exact_nu(prep.coeffs, svc.rate))
-
-
-def characteristic_polynomial(
-    nu: tuple[float, ...], svc: ExponentialService, n: int
-) -> tuple[float, ...]:
-    """Ascending coefficients of the even degree-(2n+2) root polynomial.
-
-    The polynomial is r^{2n} (r^2 - mu^2) + (-1)^n * S(r) * S(-r) with
-    S(r) = sum_{i<n} nu_i r^i, assembled in exact rational arithmetic (the
-    inputs are dyadic rationals): the cross products cancel catastrophically
-    in floating point at high degree. Evenness is then structural — for odd
-    i + j the (i, j) and (j, i) cross terms carry opposite signs and cancel
-    exactly — and the odd coefficients are still checked as an internal bug
-    tripwire (AsymmetryDetected) before being returned as exact zeros.
-    """
-    nu_fr = [Fraction(v) for v in nu[: n + 1]]
-    return tuple(float(v) for v in exact_char(nu_fr, svc.rate))
 
 
 def _char_terms(char_poly, r):
@@ -421,11 +370,12 @@ def assemble_linear_system(
     return mat, np.array([0] * nmodes + [1], dtype=mat.dtype)
 
 
-def _verify_structure(cs: CharacteristicSystem, roots: np.ndarray) -> None:
-    """Structural invariants asserted on every solve."""
-    if abs(cs.nu[-1] - cs.rate) > 1e-12 * cs.rate:
-        raise PostconditionViolation("top_weight", f"nu_n = {cs.nu[-1]!r} != rate")
-    if any(cs.char_poly[1::2]):
+def _verify_structure(nu, char, mu: float, roots: np.ndarray) -> None:
+    """Structural invariants asserted on every solve: on the exact weights
+    ``nu`` and characteristic coefficients ``char``, and on the roots."""
+    if nu[-1] != mu:
+        raise PostconditionViolation("top_weight", f"nu_n = {float(nu[-1])!r} != rate")
+    if any(char[1::2]):
         raise PostconditionViolation("even_polynomial", "odd coefficients nonzero")
     # multiset closed under negation (exact) and conjugation (within 1e-10)
     neg = np.sort_complex(-roots)
@@ -487,17 +437,11 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     mu = svc.rate
     ctx = _context(n)
     with ctx.precision(n):
-        nu_fr = ctx.exact(exact_nu(prep.coeffs, mu))
-        char_fr = exact_char(nu_fr, mu)
-        cs = CharacteristicSystem(
-            nu=tuple(map(safe_float, nu_fr)),
-            char_poly=tuple(map(safe_float, char_fr)),
-            rate=mu,
-            degree=n,
-        )
+        nu_fr = ctx.exact(exact_nu(prep.coeffs, mu), mu)
+        char_fr = ctx.exact(exact_char(nu_fr, mu), mu)
         nu = [ctx.real(v) for v in nu_fr]
         ordered = pair_roots(find_roots([ctx.real(v) for v in char_fr]))
-        _verify_structure(cs, ordered.astype(complex))
+        _verify_structure(nu_fr, char_fr, mu, ordered.astype(complex))
         basis = [(r,) + _pair_coefficients(r, nu, mu, n) for r in ordered[: n + 1].tolist()]
         mat, rhs = assemble_linear_system(basis, nu, prep, svc)
         sol, cond = ctx.lu_solve(mat, rhs)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import mode_density, random_piecewise_cdf, random_polynomial_cdf
+from lindley_alt._exact import exact_char, exact_nu
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.bounds import certify_approximation
 from lindley_alt.cli import main
@@ -27,12 +28,10 @@ from lindley_alt.distributions import (
 from lindley_alt.errors import PostconditionViolation
 from lindley_alt.oracle import FixedPointProblem, fixed_point_solve, ks_distance, simulate
 from lindley_alt.solver import (
-    characteristic_polynomial,
     eval_waiting_cdf,
     eval_waiting_density,
     find_roots,
     integral_equation_residual,
-    nu_coefficients,
     pair_roots,
     solve,
 )
@@ -50,9 +49,9 @@ def audit():
     original = solver_module._verify_structure
     counter = {"solves_checked": 0}
 
-    def counting(cs, roots):
+    def counting(nu, char, mu, roots):
         counter["solves_checked"] += 1
-        return original(cs, roots)
+        return original(nu, char, mu, roots)
 
     solver_module._verify_structure = counting
     yield counter
@@ -306,11 +305,11 @@ def test_criterion_9_structural_invariants(
     svc = ExponentialService(1.0)
     for order in (1, 5, 10):
         fit = bernstein_fit(triangular_cdf(), order)
-        nu = nu_coefficients(fit, svc)
+        nu = exact_nu(fit.coeffs, svc.rate)
         direct_ok &= nu[-1] == svc.rate
-        char = characteristic_polynomial(nu, svc, fit.degree)
-        direct_ok &= all(c == 0.0 for c in char[1::2])
-        roots = pair_roots(find_roots(char))
+        char = exact_char(nu, svc.rate)
+        direct_ok &= all(c == 0 for c in char[1::2])
+        roots = pair_roots(find_roots([float(c) for c in char]))
         key = lambda r: (round(r.real, 9), round(r.imag, 9))
         direct_ok &= sorted(roots, key=key) == sorted(-roots, key=key)
         conj = np.sort_complex(np.conj(roots))
@@ -322,7 +321,7 @@ def test_criterion_9_structural_invariants(
     # and the in-solve assertion is enforcing, not advisory
     import lindley_alt.solver as solver_module
 
-    def failing(cs, roots):
+    def failing(nu, char, mu, roots):
         raise PostconditionViolation("negation_closure", "forced for the audit")
 
     monkeypatch.setattr(solver_module, "_verify_structure", failing)

@@ -143,6 +143,26 @@ class TestSolveCommand:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
+    @pytest.mark.parametrize(
+        "argv,code,error",
+        [
+            (["--dist", "uniform", "--mu", "1e308"], 2, "InputError"),
+            (["--dist", "uniform", "--mu", "1e-300"], 2, "InputError"),
+            (["--dist", "triangular", "--order", "16", "--mu", "1e12"], 3, "DegenerateMode"),
+        ],
+        ids=["overflow", "underflow", "singular-extended"],
+    )
+    def test_extreme_rate_is_a_typed_error(self, argv, code, error, capsys):
+        # coefficients past the double range name mu; a mode system singular
+        # at working precision is a numerical failure
+        rc = main(["solve", *argv])
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == error
+        assert code == 3 or err["message"].startswith(f"mu = {float(argv[-1])!r}")
+
 
 class TestFitCommand:
     def test_triangular_order_one(self, capsys):
@@ -336,6 +356,33 @@ class TestTable1Command:
         rc = main(["verify"])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("edit", ["one_cell", "header_only", "missing_row", "repeated_row"])
+    def test_malformed_table_is_input_error(self, edit, table1_csv, capsys, monkeypatch):
+        # each benchmark row exactly once, with the header's seven cells
+        header, *rows = table1_csv.strip().splitlines()
+        body = {
+            "one_cell": ["1,0.125"],
+            "header_only": [],
+            "missing_row": rows[:2],
+            "repeated_row": rows + rows[:1],
+        }[edit]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join([header, *body]) + "\n"))
+        rc = main(["verify"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InputError"
+
+    def test_nan_cell_fails_verify(self, table1_csv, capsys, monkeypatch):
+        # a NaN gap that is not a row's first must not drop out of its maximum
+        lines = table1_csv.strip().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        rc = main(["verify"])
+        assert rc == 3
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("FAIL") and first.endswith("max gap nan")
 
     def test_deterministic(self, table1_csv, capsys):
         rc = main(["table1"])

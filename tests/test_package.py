@@ -113,6 +113,15 @@ class TestImportBudget:
         modules = _fresh(f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))")
         assert "numpy" not in modules
 
+    def test_package_import_adds_only_itself_and_its_errors(self):
+        added = _fresh(
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import lindley_alt\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        assert added == ["lindley_alt", "lindley_alt.errors"]
+
     @pytest.mark.parametrize(
         "argv,code", [(["--version"], 0), (["--help"], 0), (["table1", "--mu", "3"], 2)]
     )

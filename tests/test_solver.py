@@ -38,12 +38,11 @@ from lindley_alt.errors import (
 from lindley_alt.solver import (
     _density_series,
     _scaled_bessel,
-    characteristic_polynomial,
+    _verify_structure,
     eval_waiting_cdf,
     eval_waiting_density,
     find_roots,
     integral_equation_residual,
-    nu_coefficients,
     pair_roots,
     solution_summary,
     solve,
@@ -61,13 +60,13 @@ class TestDerivativeWeights:
     def test_quadratic_example(self):
         # F = x^2 with mu = 2: weights (4, 4, 2), top pinned at mu
         svc = ExponentialService(2.0)
-        assert nu_coefficients(validate([0.0, 0.0, 1.0]), svc) == (4.0, 4.0, 2.0)
+        assert exact_nu(validate([0.0, 0.0, 1.0]).coeffs, svc.rate) == [4, 4, 2]
 
     def test_top_weight_is_service_rate(self):
         rng = np.random.default_rng(1)
         for mu in (0.25, 1.0, 3.5):
             dist = random_polynomial_cdf(rng)
-            nu = nu_coefficients(dist, ExponentialService(mu))
+            nu = exact_nu(dist.coeffs, mu)
             assert nu[dist.degree] == mu
             assert len(nu) == dist.degree + 1
 
@@ -75,18 +74,16 @@ class TestDerivativeWeights:
 class TestCharacteristicPolynomial:
     def test_uniform_closed_form(self):
         # r^4 - r^2 - 1, ascending coefficients
-        char = characteristic_polynomial((1.0, 1.0), ExponentialService(1.0), 1)
-        np.testing.assert_allclose(char, (-1.0, 0.0, -1.0, 0.0, 1.0), atol=0.0)
+        assert exact_char([Fraction(1), Fraction(1)], 1.0) == [-1, 0, -1, 0, 1]
 
     def test_always_even(self):
         rng = np.random.default_rng(2)
         for mu in (0.5, 1.0, 2.0):
             dist = random_polynomial_cdf(rng)
-            svc = ExponentialService(mu)
-            char = characteristic_polynomial(nu_coefficients(dist, svc), svc, dist.degree)
+            char = exact_char(exact_nu(dist.coeffs, mu), mu)
             assert len(char) == 2 * dist.degree + 3
-            assert all(c == 0.0 for c in char[1::2])
-            assert char[-1] == 1.0  # monic
+            assert all(c == 0 for c in char[1::2])
+            assert char[-1] == 1  # monic
 
 
 class TestRoots:
@@ -105,9 +102,9 @@ class TestRoots:
         rng = np.random.default_rng(3)
         for _ in range(10):
             dist = random_polynomial_cdf(rng)
-            svc = ExponentialService(float(rng.uniform(0.25, 4.0)))
-            char = characteristic_polynomial(nu_coefficients(dist, svc), svc, dist.degree)
-            roots = pair_roots(find_roots(char))
+            mu = float(rng.uniform(0.25, 4.0))
+            char = exact_char(exact_nu(dist.coeffs, mu), mu)
+            roots = pair_roots(find_roots([float(c) for c in char]))
             by_key = sorted(roots, key=lambda r: (round(r.real, 9), round(r.imag, 9)))
             negated = sorted(-roots, key=lambda r: (round(r.real, 9), round(r.imag, 9)))
             conjugated = sorted(np.conj(roots), key=lambda r: (round(r.real, 9), round(r.imag, 9)))
@@ -122,6 +119,37 @@ class TestRoots:
     def test_pairing_failure_on_tampered_set(self):
         with pytest.raises(PairingFailure):
             pair_roots(np.array([1.0 + 0.0j, 2.0 + 0.0j, -1.0 + 0.0j, -3.0 + 0.0j]))
+
+
+class TestStructuralChecks:
+    """Each invariant that every solve asserts, broken on the uniform law."""
+
+    @staticmethod
+    def _uniform():
+        nu = exact_nu((0.0, 1.0), 1.0)
+        char = exact_char(nu, 1.0)
+        roots = pair_roots(find_roots([float(c) for c in char])).astype(complex)
+        return nu, char, roots
+
+    @pytest.mark.parametrize(
+        "invariant",
+        ["top_weight", "even_polynomial", "negation_closure", "conjugation_closure"],
+    )
+    def test_broken_invariant_raises(self, invariant):
+        nu, char, roots = self._uniform()
+        _verify_structure(nu, char, 1.0, roots)  # intact
+        if invariant == "top_weight":
+            nu = [*nu[:-1], nu[-1] * (1 + Fraction(1, 2**60))]
+        elif invariant == "even_polynomial":
+            char = [char[0], Fraction(1, 2**60), *char[2:]]
+        elif invariant == "negation_closure":
+            roots = roots.copy()
+            roots[0] *= 1 + 1e-12
+        else:  # rotated: still closed under negation, no longer under conjugation
+            roots = roots * cmath.exp(0.1j)
+        with pytest.raises(PostconditionViolation) as excinfo:
+            _verify_structure(nu, char, 1.0, roots)
+        assert excinfo.value.invariant == invariant
 
 
 class TestUniformSolution:
@@ -467,7 +495,7 @@ def test_integer_exact_arithmetic_matches_fractions():
             nu = exact_nu(law.coeffs, mu)
             assert nu == _exact_nu_fractions(law.coeffs, mu)
             # the exact weights (extended path) and their doubles (double path)
-            for weights in (nu, DOUBLE.exact(nu)):
+            for weights in (nu, DOUBLE.exact(nu, mu)):
                 assert exact_char(weights, mu) == _exact_char_fractions(weights, mu)
 
 
@@ -546,7 +574,7 @@ class TestExtendedPrecision:
 
         fit = bernstein_fit(dist, 18)
         svc = ExponentialService(1.375)
-        got = nu_coefficients(fit, svc)
+        got = [float(v) for v in exact_nu(fit.coeffs, svc.rate)]
         n = fit.degree
         with mpmath.workdps(80):
             for m in range(n + 1):
