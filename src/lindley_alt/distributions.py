@@ -64,12 +64,14 @@ _SAMPLER_CELLS = 1 << 12
 #: Equal deviate buckets of the sampler's guide table.
 _GUIDE_BUCKETS = 1 << 14
 
-#: Draws the sampler handles per pass. Each temporary is then 64 KiB, below
-#: glibc's default 128 KiB mmap threshold, so the passes reuse heap memory;
-#: at 2^16 draws (512 KiB) every pass would map, page-fault and unmap its
-#: temporaries afresh. Draws are independent, so the block size does not
-#: change a single bit of the output.
-_SAMPLER_BLOCK = 1 << 13
+#: Draws the sampler handles per pass. Each temporary is then 32 KiB, and
+#: the passes reuse heap memory: glibc maps a block of 128 KiB or more
+#: afresh, and freeing one of 64 KiB or more may trim the heap, so in a
+#: fresh process 2^13-draw passes page-faulted their temporaries in again
+#: on every pass (22k minor faults for 10^6 Monte Carlo steps, against
+#: 435 at 2^12). Draws are independent, so the block size does not change
+#: a single bit of the output.
+_SAMPLER_BLOCK = 1 << 12
 
 #: Newton stops on a draw once its step (or its bracket) is below this.
 _NEWTON_TOL = 1e-14

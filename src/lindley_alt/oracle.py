@@ -52,17 +52,24 @@ DEFAULT_TOL = 1e-10
 #: Fewest recursion steps :func:`simulate` accepts (a stable estimate).
 MIN_SIMULATION_STEPS = 10**4
 
-#: Recursion steps simulated per chunk (bounds memory at ~24 MB/chunk).
+#: Recursion steps per stream chunk: the stream holds a chunk's uniforms,
+#: then its exponentials. It fixes which draws feed which step, not memory.
 _CHUNK = 1 << 20
+
+#: Steps drawn per work block: one pass of the sampler
+#: (``distributions._SAMPLER_BLOCK``). A block's scratch arrays (deviates,
+#: service times, the sampler's temporaries) are 32 KiB each, so a
+#: simulation holds its 8-byte-per-step path and little else.
+_DRAW_BLOCK = 1 << 12
 
 #: Steps per block of the recursion's blocked scan.
 _SCAN_BLOCK = 512
 
-#: Distinct sample values per block of :func:`ks_distance`'s reference CDF
-#: evaluation. The temporaries are then 64 KiB, below glibc's default
-#: 128 KiB mmap threshold, so the blocks reuse heap memory; one pass over
-#: the ~6e5 distinct values of a 10^6-step sample would fault in tens of
-#: MB afresh.
+#: Sorted samples per block of :func:`ks_distance`'s scan. A block has at
+#: most this many distinct values, so its temporaries are at most 64 KiB,
+#: below glibc's default 128 KiB mmap threshold, and the blocks reuse heap
+#: memory; one pass over a 10^6-step sample would fault in tens of MB
+#: afresh.
 _KS_BLOCK = 1 << 13
 
 
@@ -170,18 +177,20 @@ class _ContractionMap:
     """:func:`apply_map` for one kernel, applied in buffers allocated once.
 
     The kernel is transformed once. Any FFT length >= 2g + 1 keeps the
-    slice that is kept free of wrap-around; at the length scipy's
-    fftconvolve picks for the full (3g + 1)-entry convolution the sums round
-    as that reference's do, so frozen oracle values hold bitwise. Every
-    application writes into the same arrays: at g = 2^14 they are 131,080 B
-    or more, over glibc's default 128 KiB mmap threshold, so fresh ones
-    would be mapped, faulted in and unmapped on every iteration (the FFTs'
-    ``out=`` needs numpy 2.0).
+    slice that is kept free of wrap-around, so the map uses the shortest
+    fast one (:func:`_fast_len`), not that of the full (3g + 1)-entry
+    convolution: 32,805 points at g = 2^14 instead of 50,000. Its sums then
+    round differently from scipy's fftconvolve of the full convolution, and
+    agree with it to FFT roundoff (1e-13), not bitwise. Every application
+    writes into the same arrays: at g = 2^14 they are 131,080 B or more,
+    over glibc's default 128 KiB mmap threshold, so fresh ones would be
+    mapped, faulted in and unmapped on every iteration (the FFTs' ``out=``
+    needs numpy 2.0).
     """
 
     def __init__(self, kernel: np.ndarray):
         g = kernel.size - 1
-        n = _fast_len(3 * g + 1)
+        n = _fast_len(2 * g + 1)
         self.spectrum = np.fft.rfft(np.concatenate([kernel, np.ones(g)]), n)
         self.reversed_weights = np.empty(g + 1)
         self.product = np.empty_like(self.spectrum)
@@ -308,8 +317,9 @@ def _recurse(x: np.ndarray, wait: float, path: np.ndarray) -> float:
     exact whatever its start. Pass 2 carries the end states from block to
     block, running any block whose bounds never met from its exact start.
     Pass 3 reruns every block from its exact start, writing ``path`` in
-    place. Every state comes from the loop's own arithmetic, never from
-    composed affine maps, which would round differently.
+    place; ``path`` may be ``x`` itself, since every step reads x[i] before
+    it writes path[i]. Every state comes from the loop's own arithmetic,
+    never from composed affine maps, which would round differently.
     """
     blocks = x.size // _SCAN_BLOCK
     full = blocks * _SCAN_BLOCK
@@ -343,11 +353,17 @@ def simulate(
 ) -> SimulationResult:
     """Drive W <- max(0, B - A - W) for n post-warmup steps.
 
-    Draws are vectorized in chunks (inverse-CDF preparation times, inverse
-    exponential service times), and so is the recursion: :func:`_recurse`
-    runs it as a blocked scan whose path equals the step-by-step loop's bit
-    for bit. One Philox stream, keyed by the seed, feeds every draw, so the
-    samples are deterministic per seed.
+    One Philox stream, keyed by the seed, feeds every draw, so the samples
+    are deterministic per seed. For each chunk of ``_CHUNK`` steps the
+    stream holds the chunk's uniforms (inverse-CDF preparation times) and
+    then its exponentials (service times). Two cursors read a chunk
+    ``_DRAW_BLOCK`` steps at a time: the service cursor starts as many raw
+    draws past the uniform one as the chunk has steps (``Generator.random``
+    takes one raw draw per double), and B - A goes straight into the path.
+    :func:`_recurse` then turns the chunk into waiting times in place, as a
+    blocked scan whose path equals the step-by-step loop's bit for bit, and
+    the next chunk's uniforms start where its exponentials ended. Memory is
+    the path's 8 bytes a step plus one work block.
     """
     if n < MIN_SIMULATION_STEPS:
         raise ValueError(
@@ -357,14 +373,25 @@ def simulate(
         raise ValueError(f"warmup must be nonnegative, got {warmup}")
     # spawn_key (0,) selects the first child stream of SeedSequence(seed),
     # the stream every recorded simulation output was drawn from.
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+    stream = np.random.SeedSequence(seed, spawn_key=(0,))
+    uniforms, services = (np.random.Generator(np.random.Philox(stream)) for _ in range(2))
+    scale = 1.0 / svc.rate
+    draws = np.empty(_DRAW_BLOCK)
     path = np.empty(warmup + n)
     wait = 0.0
     for start in range(0, path.size, _CHUNK):
-        block = min(_CHUNK, path.size - start)
-        x = inverse_cdf_array(dist, rng.random(size=block))
-        x -= rng.exponential(scale=1.0 / svc.rate, size=block)
-        wait = _recurse(x, wait, path[start : start + block])
+        chunk = path[start : start + _CHUNK]
+        services.bit_generator.state = uniforms.bit_generator.state
+        services.bit_generator.random_raw(chunk.size, output=False)
+        for first in range(0, chunk.size, draws.size):
+            x = chunk[first : first + draws.size]
+            u = draws[: x.size]
+            x[:] = inverse_cdf_array(dist, uniforms.random(out=u))
+            services.standard_exponential(out=u)
+            u *= scale  # exponential(scale) rounds scale * standard_exponential
+            x -= u
+        wait = _recurse(chunk, wait, chunk)
+        uniforms.bit_generator.state = services.bit_generator.state
     samples = path[warmup:]
     samples.sort()
     zeros = int(np.searchsorted(samples, 0.0, side="right"))
@@ -377,6 +404,15 @@ def simulate(
     )
 
 
+def _is_sorted(samples: np.ndarray) -> bool:
+    """Whether ``samples`` are nondecreasing, checked ``_KS_BLOCK`` at a time."""
+    for first in range(0, samples.size - 1, _KS_BLOCK):
+        block = samples[first : first + _KS_BLOCK + 1]
+        if not np.all(block[:-1] <= block[1:]):
+            return False
+    return True
+
+
 def ks_distance(samples: np.ndarray, reference) -> float:
     """sup_x |empirical CDF - reference CDF|, atom-aware.
 
@@ -385,24 +421,33 @@ def ks_distance(samples: np.ndarray, reference) -> float:
     allowed its own atom at 0 (the waiting-time law has one), where its
     left limit is 0. The classical tie-blind formula would report the atom
     mass itself as the distance. Sorted samples (as :func:`simulate`
-    returns them) are read in place; the reference is evaluated
-    ``_KS_BLOCK`` distinct values at a time.
+    returns them) are read in place, ``_KS_BLOCK`` at a time: each block
+    finds the runs of equal values that end in it, and the end of the last
+    run carries over to the next block, so a run may span any number of
+    blocks.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("need a nonempty sample")
-    if not np.all(samples[:-1] <= samples[1:]):
+    if not _is_sorted(samples):
         samples = np.sort(samples)
     ref = reference.cdf if hasattr(reference, "cdf") else reference
-    # the last index of each run of equal values, and the run's length
-    ends = np.append(np.flatnonzero(samples[1:] != samples[:-1]), samples.size - 1)
-    counts = np.diff(ends, prepend=-1)
+    size = samples.size
     gaps = []
-    for first in range(0, ends.size, _KS_BLOCK):
-        block = slice(first, first + _KS_BLOCK)
-        vals = samples[ends[block]]
-        hi = (ends[block] + 1) / samples.size
-        lo = hi - counts[block] / samples.size
+    last = -1  # the last index of the run before the block
+    for first in range(0, size, _KS_BLOCK):
+        # the last index of each run of equal values that ends in the block
+        following = samples[first + 1 : first + _KS_BLOCK + 1]
+        ends = first + np.flatnonzero(samples[first : first + following.size] != following)
+        if first + _KS_BLOCK >= size:
+            ends = np.append(ends, size - 1)
+        if not ends.size:
+            continue
+        counts = np.diff(ends, prepend=last)
+        last = ends[-1]
+        vals = samples[ends]
+        hi = (ends + 1) / size
+        lo = hi - counts / size
         at = np.asarray(ref(vals), dtype=float)
         left = np.where(vals > 0.0, at, 0.0)
         gaps += [np.max(np.abs(hi - at)), np.max(np.abs(lo - left))]

@@ -163,17 +163,27 @@ def _char_terms(char_poly, r):
 
 
 def _polish(char_poly, r, ctx):
-    """Newton-polish one root of the characteristic polynomial in ``ctx``."""
+    """Newton-polish one root of the characteristic polynomial in ``ctx``.
+
+    Raises OverflowError where the polynomial's terms at the root pass the
+    context's range (in double, once |r| to the polynomial's degree passes
+    1e308), and ConvergenceFailure unless the residual, NaN included, ends
+    below the acceptance tolerance.
+    """
     tol = ctx.polish_tol
     for _ in range(ctx.polish_iters):
         val, dval, scale = _char_terms(char_poly, r)
+        if not scale < math.inf:
+            raise OverflowError(
+                f"the characteristic polynomial overflows near root {complex(r):.6g}"
+            )
         if abs(val) <= tol * scale:
             return r
         if dval == 0:
             break
         r -= val / dval
     val, _, scale = _char_terms(char_poly, r)
-    if abs(val) > ctx.accept_tol * scale:
+    if not abs(val) <= ctx.accept_tol * scale:
         raise ConvergenceFailure(
             f"Newton polish stalled at residual {float(abs(val) / scale):.2e} "
             f"for root near {complex(r):.6g}"
@@ -198,6 +208,8 @@ def find_roots(char_poly) -> np.ndarray:
         two polished roots within 1e-9: the closed form assumes simple roots.
     ConvergenceFailure
         If polishing cannot reach the required residual.
+    OverflowError
+        If the polynomial's terms at a root overflow the context's range.
     """
     ctx = context_of(char_poly[0])
     # seeds: the even coefficients, ascending in s = r^2, rescaled by a power
@@ -417,6 +429,10 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
 
     Raises
     ------
+    InputError
+        For a law of degree 0, or (up to degree 12) a mu that puts a
+        nonzero exact coefficient, or the characteristic polynomial's terms
+        at a root, outside the double range.
     RepeatedRoot, ConvergenceFailure, DegenerateMode
         Propagated from the corresponding stages.
     PostconditionViolation
@@ -440,7 +456,11 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         nu_fr = ctx.exact(exact_nu(prep.coeffs, mu), mu)
         char_fr = ctx.exact(exact_char(nu_fr, mu), mu)
         nu = [ctx.real(v) for v in nu_fr]
-        ordered = pair_roots(find_roots([ctx.real(v) for v in char_fr]))
+        try:
+            roots = find_roots([ctx.real(v) for v in char_fr])
+        except OverflowError as exc:
+            raise InputError(f"mu = {mu!r} is out of range: {exc}") from None
+        ordered = pair_roots(roots)
         _verify_structure(nu_fr, char_fr, mu, ordered.astype(complex))
         basis = [(r,) + _pair_coefficients(r, nu, mu, n) for r in ordered[: n + 1].tolist()]
         mat, rhs = assemble_linear_system(basis, nu, prep, svc)

@@ -147,14 +147,17 @@ class TestSolveCommand:
         "argv,code,error",
         [
             (["--dist", "uniform", "--mu", "1e308"], 2, "InputError"),
+            (["--dist", "uniform", "--mu", "1e100"], 2, "InputError"),
             (["--dist", "uniform", "--mu", "1e-300"], 2, "InputError"),
             (["--dist", "triangular", "--order", "16", "--mu", "1e12"], 3, "DegenerateMode"),
         ],
-        ids=["overflow", "underflow", "singular-extended"],
+        ids=["overflow", "root-overflow", "underflow", "singular-extended"],
     )
     def test_extreme_rate_is_a_typed_error(self, argv, code, error, capsys):
-        # coefficients past the double range name mu; a mode system singular
-        # at working precision is a numerical failure
+        # coefficients past the double range, or a characteristic polynomial
+        # whose terms overflow at a root (r^4 past 1e308 at mu = 1e100), name
+        # mu; a mode system singular at working precision is a numerical
+        # failure
         rc = main(["solve", *argv])
         assert rc == code
         captured = capsys.readouterr()

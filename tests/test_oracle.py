@@ -9,6 +9,7 @@ freezes them only for regression.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ class TestFixedPoint:
         rng = np.random.default_rng(5)
         for power in range(1, 17):
             g = 2**power
-            assert _fast_len(3 * g + 1) == next_fast_len(3 * g + 1, real=True)
+            for size in (2 * g + 1, 3 * g + 1):
+                assert _fast_len(size) == next_fast_len(size, real=True)
             kernel = precompute_kernel(triangular, svc1, g)
             values = np.cumsum(rng.random(g + 1))
             values /= values[-1]
@@ -203,7 +205,7 @@ class TestFixedPoint:
 def _allocating_map(kernel, values):
     """The contraction map as a chain of fresh arrays, weights included."""
     g = values.size - 1
-    n = _fast_len(3 * g + 1)
+    n = _fast_len(2 * g + 1)
     delta = np.diff(values)
     w = np.empty_like(values)
     w[0] = values[0] + delta[0] / 2.0
@@ -326,11 +328,29 @@ class TestSimulation:
         result = simulate(uniform, svc1, 10**4, seed=2)
         assert result.empirical_cdf(0.0) == result.pi0_hat
 
+    def test_stream_matches_one_shot_reference(self, triangular):
+        # each 2^20-step chunk drawn whole, all its uniforms then all its
+        # exponentials, as the stream is laid out; 2^20 + 70,000 steps make
+        # a full chunk and a partial one
+        dist, svc = bernstein_fit(triangular, 5), ExponentialService(4.0)
+        n, warmup = (1 << 20) + 69_000, 1000
+        result = simulate(dist, svc, n, warmup=warmup, seed=3)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3, spawn_key=(0,))))
+        path, wait = np.empty(warmup + n), 0.0
+        for start in range(0, path.size, 1 << 20):
+            size = min(1 << 20, path.size - start)
+            x = inverse_cdf_array(dist, rng.random(size=size))
+            x -= rng.exponential(scale=1.0 / svc.rate, size=size)
+            wait = oracle._recurse(x, wait, path[start : start + size])
+        assert np.array_equal(result.samples, np.sort(path[warmup:]))
+
     @pytest.mark.parametrize("mu", [1e-3, 0.25, 4.0, 1e3])
     def test_path_matches_plain_loop(self, monkeypatch, triangular, mu):
         # 3,000-step chunks of five 512-step blocks and a 440-step tail, so
-        # the 12,000 steps cross block, tail and chunk boundaries
+        # the 12,000 steps cross block, tail and chunk boundaries; each
+        # chunk is drawn in 700-step work blocks and a 200-step remainder
         monkeypatch.setattr(oracle, "_CHUNK", 3000)
+        monkeypatch.setattr(oracle, "_DRAW_BLOCK", 700)
         dist = bernstein_fit(triangular, 5)
         svc = ExponentialService(mu)
         result = simulate(dist, svc, 11_000, warmup=1000, seed=5)
@@ -397,6 +417,21 @@ class TestKsDistance:
         assert ks_distance(samples, ref) == want
         assert ks_distance(np.sort(samples), ref) == want
 
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_tie_runs_spanning_blocks(self, monkeypatch, block):
+        # runs of 250 and 301 equal values inside the sample and 120 at its
+        # end each span two or more blocks, so a run's start is carried
+        # across block edges
+        monkeypatch.setattr(oracle, "_KS_BLOCK", block)
+        rng = np.random.default_rng(4)
+        samples = np.sort(
+            np.concatenate(
+                [np.zeros(250), np.full(301, 0.375), rng.random(700) * 0.9, np.ones(120)]
+            )
+        )
+        ref = validate([0.2, 0.8])
+        assert ks_distance(samples, ref) == _ks_unique(samples, ref.cdf)
+
     def test_perfect_grid_sample_small_distance(self):
         # quantile-spaced samples of the uniform law keep D at 1/(2n)
         n = 50
@@ -413,3 +448,30 @@ def _ks_unique(samples, cdf):
     at = cdf(vals)
     left = np.where(vals > 0.0, at, 0.0)
     return float(max(np.max(np.abs(hi - at)), np.max(np.abs(lo - left))))
+
+
+class TestMemory:
+    """A simulation holds its path and one work block; the KS scan, one block."""
+
+    def test_simulate_peak_is_the_path_plus_a_work_block(self, triangular):
+        dist, svc = bernstein_fit(triangular, 5), ExponentialService(4.0)
+        n, warmup = 10**6, 1000
+        tracemalloc.start()
+        try:
+            simulate(dist, svc, n, warmup=warmup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n + warmup) + 4 * 2**20
+
+    def test_ks_scan_peak_beyond_the_samples(self, triangular):
+        dist, svc = bernstein_fit(triangular, 5), ExponentialService(4.0)
+        solution = solve(dist, svc)
+        samples = simulate(dist, svc, 10**6).samples
+        tracemalloc.start()
+        try:
+            ks_distance(samples, solution.cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
