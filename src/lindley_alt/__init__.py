@@ -42,7 +42,6 @@ from .errors import (
     NotACdf,
     NumericalError,
     OrderTooHigh,
-    PairingFailure,
     PostconditionViolation,
     RepeatedRoot,
 )

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from ._numeric import equilibrate, working_dps
+from ._numeric import working_dps
 from .errors import DegenerateMode
 
 
@@ -50,17 +50,22 @@ class _Extended:
     accept_tol = polish_tol
 
     @staticmethod
-    def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[list, float]:
-        """Solution at working precision; the condition number is the
-        diagnostic one of the equilibrated double image. A system singular
+    def pow2_scales(mags: np.ndarray) -> np.ndarray:
+        """The power of two nearest 1/m for each magnitude m (1 for m = 0),
+        from m = f 2^e at working precision, so that a magnitude past the
+        double range scales too: log2 m rounds to e - 1 where 2 f^2 < 1."""
+        pairs = map(mp.frexp, mags)
+        return np.array([mp.ldexp(1, (2 * f * f < 1) - e) if f else 1 for f, e in pairs])
+
+    @staticmethod
+    def factor_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``mp.lu_solve``'s solution at working precision. A system singular
         at working precision raises :class:`DegenerateMode`."""
         try:
             sol = mp.lu_solve(mp.matrix(mat.tolist()), mp.matrix(rhs.tolist()))
         except ZeroDivisionError as exc:
             raise DegenerateMode(f"mode system: {exc} at {mp.mp.dps} digits") from None
-        scaled, _, _ = equilibrate(mat.astype(complex))
-        cond = float(np.linalg.cond(scaled))
-        return list(sol), cond
+        return np.array(list(sol))
 
 
 EXTENDED = _Extended()

@@ -4,21 +4,22 @@ Every solver stage is written once, against the small protocol the two
 context objects share: ``exp``/``expm1``, ``frexp``/``ldexp``, the complex
 constructor, conversion of exact rationals (``exact``, ``real``), the
 tolerances of the zero-seeded recurrences (moments and the density series'
-Bessel coefficients) and of the Newton polish, and a dense ``lu_solve``
-that hands back the context's own numbers. The moment recurrences have no
-step cap: they run downward only at orders j above |r|, where each step
-shrinks the zero seed's error by |r|/j < 1.
+Bessel coefficients) and of the Newton polish, and the two steps of
+:func:`lu_solve` that differ: the power-of-two scale factors
+(``pow2_scales``) and the factorization (``factor_solve``), which hands
+back the context's own numbers. The moment recurrences have no step cap:
+they run downward only at orders j above |r|, where each step shrinks the
+zero seed's error by |r|/j < 1.
 Python ``complex`` and mpmath ``mpc`` share their arithmetic operators, so a
 stage's body is the same in both; :func:`context_of` recovers the context
 from the numbers a stage is handed, and the solver picks it once per solve
 by degree.
 
-* :data:`DOUBLE` — cmath/numpy. Its ``lu_solve`` equilibrates the system by
-  powers of two, solves with LAPACK and takes one step of iterative
-  refinement.
+* :data:`DOUBLE` — cmath/numpy. It factors with LAPACK and takes one step
+  of iterative refinement.
 * ``EXTENDED`` — mpmath at :func:`working_dps` digits (entered with
   ``EXTENDED.precision(n)``, which scopes the precision, so no state leaks
-  between calls); ``lu_solve`` is ``mp.lu_solve``; arrays hold objects. It
+  between calls); it factors with ``mp.lu_solve``; arrays hold objects. It
   lives in :mod:`lindley_alt._extended`, which is imported, and mpmath with
   it, only when a solve needs it.
 """
@@ -55,35 +56,6 @@ def _expm1c(z: complex) -> complex:
     )
 
 
-def equilibrate(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-sided power-of-two row/column equilibration of a square system.
-
-    The derivative-hierarchy rows scale like root^level (up to ~1e29 at high
-    degree) while the balance and normalization rows are O(1); the raw
-    condition number then reflects scaling, not genuine near-degeneracy, and
-    the factorization loses digits it does not need to lose. Scale factors
-    are rounded to powers of two, so applying them is exact in floating
-    point and the scaled system is equivalent bit-for-bit.
-
-    Returns ``(scaled, row_scale, col_scale)`` with
-    ``scaled = diag(row_scale) @ mat @ diag(col_scale)``; a solution ``y`` of
-    the scaled system maps back as ``x = col_scale * y``.
-    """
-    scaled = mat.copy()
-    rows = np.ones(mat.shape[0])
-    cols = np.ones(mat.shape[1])
-    for _ in range(4):
-        rmax = np.max(np.abs(scaled), axis=1)
-        rf = np.exp2(-np.round(np.log2(np.where(rmax > 0.0, rmax, 1.0))))
-        scaled *= rf[:, None]
-        rows *= rf
-        cmax = np.max(np.abs(scaled), axis=0)
-        cf = np.exp2(-np.round(np.log2(np.where(cmax > 0.0, cmax, 1.0))))
-        scaled *= cf[None, :]
-        cols *= cf
-    return scaled, rows, cols
-
-
 class _Double:
     """cmath/numpy arithmetic: the solver's context up to EXTENDED_DEGREE."""
 
@@ -104,7 +76,7 @@ class _Double:
         return contextlib.nullcontext()
 
     @staticmethod
-    def exact(values: list[Fraction], rate: float) -> list[Fraction]:
+    def exact(values: list[Fraction], rate: float) -> list[float]:
         """The rationals this context starts from: each rounded to double. A
         nonzero one with no finite nonzero double is an InputError naming mu."""
         out = []
@@ -116,7 +88,7 @@ class _Double:
             if v and not 0 < abs(x) < math.inf:
                 what = "overflows" if x else "underflows"
                 raise InputError(f"mu = {rate!r} is out of range: a coefficient {what} double")
-            out.append(Fraction(x))
+            out.append(x)
         return out
 
     @staticmethod
@@ -127,14 +99,16 @@ class _Double:
             return complex(math.inf)
 
     @staticmethod
-    def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solution and condition number of the equilibrated system."""
-        scaled, row_scale, col_scale = equilibrate(mat)
-        cond = float(np.linalg.cond(scaled))
-        b = rhs * row_scale
-        y = np.linalg.solve(scaled, b)
-        y += np.linalg.solve(scaled, b - scaled @ y)  # one refinement step
-        return y * col_scale, cond
+    def pow2_scales(mags: np.ndarray) -> np.ndarray:
+        """The power of two nearest 1/m for each magnitude m; 1 for m = 0."""
+        return np.exp2(-np.round(np.log2(np.where(mags > 0.0, mags, 1.0))))
+
+    @staticmethod
+    def factor_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """LAPACK's solution, with one step of iterative refinement."""
+        y = np.linalg.solve(mat, rhs)
+        y += np.linalg.solve(mat, rhs - mat @ y)
+        return y
 
 
 DOUBLE = _Double()
@@ -150,3 +124,29 @@ def context_of(x):
     from ._extended import EXTENDED
 
     return EXTENDED
+
+
+def lu_solve(mat: np.ndarray, rhs: np.ndarray, ctx) -> tuple[np.ndarray, float]:
+    """Solution of ``mat @ x = rhs`` in ``ctx``, and the condition number of
+    the equilibrated system's double image.
+
+    The hierarchy rows scale like root^level (to ~1e29 at high degree), the
+    other rows are O(1). Unscaled, the condition number measures that
+    scaling, the factorization loses digits, and mpmath's pivot test,
+    relative to the matrix norm, refuses solvable systems (order 16 at
+    mu = 1e-150). So rows, then columns, four passes each, are multiplied by
+    ``ctx.pow2_scales`` of their largest magnitude: powers of two, so the
+    scaled system is exactly equivalent. ``ctx.factor_solve`` solves it, and
+    ``x = col_scale * y`` maps the solution back, exactly too.
+    """
+    scaled = mat.copy()
+    rows = cols = 1
+    for _ in range(4):
+        rf = ctx.pow2_scales(np.max(np.abs(scaled), axis=1))
+        scaled *= rf[:, None]
+        rows = rows * rf
+        cf = ctx.pow2_scales(np.max(np.abs(scaled), axis=0))
+        scaled *= cf[None, :]
+        cols = cols * cf
+    cond = float(np.linalg.cond(np.asarray(scaled, dtype=complex)))
+    return ctx.factor_solve(scaled, rhs * rows) * cols, cond

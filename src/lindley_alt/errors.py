@@ -17,7 +17,6 @@ __all__ = [
     "AsymmetryDetected",
     "RepeatedRoot",
     "ConvergenceFailure",
-    "PairingFailure",
     "DegenerateMode",
     "PostconditionViolation",
     "NonConvergence",
@@ -84,13 +83,10 @@ class ConvergenceFailure(NumericalError):
     """Root polishing failed to reach the required residual."""
 
 
-class PairingFailure(NumericalError):
-    """A root lacked its negated partner (internal assertion)."""
-
-
 class DegenerateMode(NumericalError):
     """A pair's mode column vanished (a repeated root leaked through), or
-    the mode system is singular at working precision."""
+    the mode system, equilibrated by powers of two, is singular at working
+    precision."""
 
 
 class PostconditionViolation(NumericalError):

@@ -8,14 +8,15 @@ mixture of exponential modes:
 
 where the r_i are the roots of an even characteristic polynomial of degree
 2n + 2 (n = polynomial degree of the preparation CDF). This module builds
-that polynomial, finds and pairs its roots, constructs one mode per +- root
-pair, and solves a dense (n + 2) x (n + 2) complex linear system for the
-mode weights and the atom.
+that polynomial, finds its roots as +- pairs, constructs one mode per pair,
+and solves a dense (n + 2) x (n + 2) complex linear system for the mode
+weights and the atom.
 
 Numerical backbone:
 
-* roots are found in the squared variable (degree n + 1), so the +- pairing
-  is exact by construction, then Newton-polished on the full polynomial;
+* roots are found in the squared variable (degree n + 1) and Newton-polished
+  on the full polynomial; each pair's partner is its representative's exact
+  negation, so the pairing is exact by construction;
 * every exponential is evaluated in an *anchored* form — the growing part of
   a mode is parametrized as exp(r*(x-1)) — so nothing overflows even when
   roots have large real parts (which near-degenerate inputs do produce);
@@ -32,7 +33,8 @@ Numerical backbone:
 * every later stage is written once against a numeric context
   (:mod:`lindley_alt._numeric`): double precision up to degree 12, mpmath
   above — double precision loses ~log10(n!) digits there and visibly
-  corrupts the density.
+  corrupts the density. Both contexts solve the mode system the same way:
+  exact power-of-two equilibration, then the context's own factorization.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from numpy.polynomial import Chebyshev
 
 from ._exact import EXTENDED_DEGREE, exact_char, exact_nu
 from ._moments import _moments
-from ._numeric import DOUBLE, context_of
+from ._numeric import DOUBLE, context_of, lu_solve
 from .distributions import (
     ExponentialService,
     PolynomialCdf,
@@ -59,7 +61,6 @@ from .errors import (
     DegenerateMode,
     IllConditioned,
     InputError,
-    PairingFailure,
     PostconditionViolation,
     RepeatedRoot,
 )
@@ -68,7 +69,6 @@ __all__ = [
     "Mode",
     "WaitingTimeSolution",
     "find_roots",
-    "pair_roots",
     "assemble_linear_system",
     "solve",
     "eval_waiting_density",
@@ -192,14 +192,20 @@ def _polish(char_poly, r, ctx):
 
 
 def find_roots(char_poly) -> np.ndarray:
-    """All 2n+2 roots of the even characteristic polynomial.
+    """All 2n+2 roots of the even characteristic polynomial, paired.
 
     Solved as a degree-(n+1) polynomial in the squared variable (companion-
-    matrix eigenvalues), then square-rooted — which makes the root set
-    exactly closed under negation — and Newton-polished on the original
-    polynomial to relative residual < 1e-12, in the numeric context of the
-    coefficients (extended-precision coefficients are polished to their
-    working precision).
+    matrix eigenvalues), then square-rooted and Newton-polished on the
+    original polynomial to relative residual < 1e-12, in the numeric context
+    of the coefficients (extended-precision coefficients are polished to
+    their working precision).
+
+    The first n+1 entries are the representatives: each polished root or its
+    negation, whichever has positive real part (positive imaginary part on
+    the imaginary axis), sorted by descending real, then imaginary part.
+    The last n+1 are their exact negations in mirrored order, so entry i's
+    partner is entry 2n+1-i. Sign and order are decided on the double
+    roundings, so they do not depend on the numeric context.
 
     Raises
     ------
@@ -209,7 +215,9 @@ def find_roots(char_poly) -> np.ndarray:
     ConvergenceFailure
         If polishing cannot reach the required residual.
     OverflowError
-        If the polynomial's terms at a root overflow the context's range.
+        If the polynomial's terms at a root overflow the context's range, or
+        the roots span more than the double seeds resolve: a nonzero constant
+        term, yet a seed of exactly 0 (triangular fits from mu ~ 1e34).
     """
     ctx = context_of(char_poly[0])
     # seeds: the even coefficients, ascending in s = r^2, rescaled by a power
@@ -217,6 +225,11 @@ def find_roots(char_poly) -> np.ndarray:
     even = char_poly[0::2]
     shift = ctx.frexp(max(abs(a) for a in even))[1]
     s_roots = np.roots([float(ctx.ldexp(a, -shift)) for a in reversed(even)])
+    if even[0] and not s_roots.all():
+        raise OverflowError(
+            "the characteristic roots span more than the double seeds resolve "
+            "(a seed is 0, the constant term is not)"
+        )
     # the closed form assumes simple roots, and a doubled root also defeats
     # the polish that follows
     for i in range(s_roots.size):
@@ -230,7 +243,6 @@ def find_roots(char_poly) -> np.ndarray:
                     f"{gap / scale:.2e} < {_REPEATED_ROOT_TOL:g}"
                 )
     reps = [
-        # principal square root: Re >= 0; Im > 0 on the axis
         _polish(char_poly, ctx.complex(cmath.sqrt(complex(s))), ctx)
         for s in s_roots
     ]
@@ -238,37 +250,13 @@ def find_roots(char_poly) -> np.ndarray:
         for j in range(i + 1, len(reps)):
             if abs(reps[i] - reps[j]) < 1e-9 * max(abs(reps[i]), abs(reps[j])):
                 raise RepeatedRoot(f"Newton polish collapsed roots near {complex(reps[i]):.6g}")
-    return np.array(reps + [-r for r in reps])
 
+    def order(r):  # descending real, then imaginary part, of the double rounding
+        d = complex(r)
+        return -d.real, -d.imag
 
-def pair_roots(roots: np.ndarray) -> np.ndarray:
-    """Deterministic ordering with partner symmetry.
-
-    Representatives (first half) have positive real part, ties broken by
-    positive imaginary part, sorted by descending real then imaginary part;
-    entry i's partner sits at the mirrored index and is its exact negation.
-    Classification and order are decided on the double roundings, so they
-    do not depend on the numeric context the roots were polished in.
-    """
-    roots = np.asarray(roots)
-    doubles = roots.astype(complex)
-    if roots.dtype != object:  # extended-precision roots are mpmath objects
-        roots = doubles
-    reps = [
-        (d, r)
-        for d, r in zip(doubles, roots)
-        if d.real > 0.0 or (d.real == 0.0 and d.imag > 0.0)
-    ]
-    if 2 * len(reps) != roots.size:
-        raise PairingFailure(
-            f"{len(reps)} representatives for {roots.size} roots; "
-            f"the root set is not closed under negation"
-        )
-    for d, _ in reps:
-        if float(np.min(np.abs(doubles + d))) > 1e-9 * max(abs(d), 1e-300):
-            raise PairingFailure(f"root {d:.6g} lacks a negated partner")
-    reps.sort(key=lambda dr: (-dr[0].real, -dr[0].imag))
-    reps = [r for _, r in reps]
+    # a representative has Re > 0, or Im > 0 on the axis: order(r) < (0, 0)
+    reps = sorted((r if order(r) < (0.0, 0.0) else -r for r in reps), key=order)
     return np.array(reps + [-r for r in reversed(reps)])
 
 
@@ -419,20 +407,22 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     """Compute the exact steady-state waiting-time law.
 
     Orchestrates the full closed-form pipeline (weights, characteristic
-    polynomial, roots, pairing, balanced mode columns, linear system) and
+    polynomial, paired roots, balanced mode columns, linear system) and
     verifies every structural invariant before returning. Up to degree 12
-    everything runs in equilibrated double precision with one step of
-    iterative refinement; above that the assembly cancellation outgrows
-    double precision and the same pipeline runs in exact rational /
-    extended-precision arithmetic. The density series is summed from the
-    modes in the same context, before the strengths are rounded.
+    everything runs in double precision; above that the assembly
+    cancellation outgrows double precision and the same pipeline runs in
+    exact rational / extended-precision arithmetic. In both, the mode system
+    is equilibrated by powers of two before it is factored. The density
+    series is summed from the modes in the same context, before the
+    strengths are rounded.
 
     Raises
     ------
     InputError
         For a law of degree 0, or (up to degree 12) a mu that puts a
         nonzero exact coefficient, or the characteristic polynomial's terms
-        at a root, outside the double range.
+        at a root, outside the double range, or a mu at which the roots span
+        more than the double seeds of the root finder resolve.
     RepeatedRoot, ConvergenceFailure, DegenerateMode
         Propagated from the corresponding stages.
     PostconditionViolation
@@ -460,11 +450,10 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
             roots = find_roots([ctx.real(v) for v in char_fr])
         except OverflowError as exc:
             raise InputError(f"mu = {mu!r} is out of range: {exc}") from None
-        ordered = pair_roots(roots)
-        _verify_structure(nu_fr, char_fr, mu, ordered.astype(complex))
-        basis = [(r,) + _pair_coefficients(r, nu, mu, n) for r in ordered[: n + 1].tolist()]
+        _verify_structure(nu_fr, char_fr, mu, roots.astype(complex))
+        basis = [(r,) + _pair_coefficients(r, nu, mu, n) for r in roots[: n + 1].tolist()]
         mat, rhs = assemble_linear_system(basis, nu, prep, svc)
-        sol, cond = ctx.lu_solve(mat, rhs)
+        sol, cond = lu_solve(mat, rhs, ctx)
         density = _density_series(basis, sol[:-1], ctx)
 
     # the extended system is solved at working precision

@@ -32,7 +32,6 @@ from lindley_alt.solver import (
     eval_waiting_density,
     find_roots,
     integral_equation_residual,
-    pair_roots,
     solve,
 )
 
@@ -309,7 +308,7 @@ def test_criterion_9_structural_invariants(
         direct_ok &= nu[-1] == svc.rate
         char = exact_char(nu, svc.rate)
         direct_ok &= all(c == 0 for c in char[1::2])
-        roots = pair_roots(find_roots([float(c) for c in char]))
+        roots = find_roots([float(c) for c in char])
         key = lambda r: (round(r.real, 9), round(r.imag, 9))
         direct_ok &= sorted(roots, key=key) == sorted(-roots, key=key)
         conj = np.sort_complex(np.conj(roots))

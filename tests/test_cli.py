@@ -149,15 +149,17 @@ class TestSolveCommand:
             (["--dist", "uniform", "--mu", "1e308"], 2, "InputError"),
             (["--dist", "uniform", "--mu", "1e100"], 2, "InputError"),
             (["--dist", "uniform", "--mu", "1e-300"], 2, "InputError"),
-            (["--dist", "triangular", "--order", "16", "--mu", "1e12"], 3, "DegenerateMode"),
+            (["--dist", "triangular", "--order", "5", "--mu", "1e40"], 2, "InputError"),
+            (["--dist", "triangular", "--order", "16", "--mu", "1e12"], 3, "PostconditionViolation"),
         ],
-        ids=["overflow", "root-overflow", "underflow", "singular-extended"],
+        ids=["overflow", "root-overflow", "underflow", "seed-collapse", "singular-extended"],
     )
     def test_extreme_rate_is_a_typed_error(self, argv, code, error, capsys):
-        # coefficients past the double range, or a characteristic polynomial
-        # whose terms overflow at a root (r^4 past 1e308 at mu = 1e100), name
-        # mu; a mode system singular at working precision is a numerical
-        # failure
+        # coefficients past the double range, a characteristic polynomial
+        # whose terms overflow at a root (r^4 past 1e308 at mu = 1e100), or
+        # roots spanning more than the double seeds resolve (a seed of 0 at
+        # mu = 1e40) name mu; a density series longer than its cap is a
+        # numerical failure
         rc = main(["solve", *argv])
         assert rc == code
         captured = capsys.readouterr()
