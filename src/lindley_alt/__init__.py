@@ -32,7 +32,6 @@ from importlib import import_module
 
 from . import errors
 from .errors import (
-    AsymmetryDetected,
     ConvergenceFailure,
     DegenerateMode,
     IllConditioned,

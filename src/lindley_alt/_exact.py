@@ -1,18 +1,9 @@
-"""Exact rational weights and the double/extended crossover degree.
+"""Exact rational weights and characteristic coefficients.
 
-At degree n the derivative-hierarchy weights mix factorial ratios up to n!
-with the input coefficients (themselves binomially large for polynomial
-fits), and every downstream quantity — the characteristic coefficients, the
-tail sums S(r), the endpoint-derivative tables, the linear-system rows — is
-a small difference of terms that dwarf it. The lost digits grow roughly
-like log10(n!), so double precision runs out in the mid-teens: measured on
-fit corpora, integral-equation residuals cross 1e-9 at degree 15 and the
-computed density dips visibly negative (beyond the -1e-8 postcondition) by
-degree 17. The weights and characteristic coefficients are dyadic
-rationals, so :class:`fractions.Fraction` computes them losslessly; above
-:data:`EXTENDED_DEGREE` the solver runs every later stage in the extended
-numeric context of :mod:`lindley_alt._numeric`, and below it the double
-context is already accurate to ~1e-13 and much faster.
+They are dyadic rationals, so :class:`fractions.Fraction` computes them
+losslessly; in floating point their sums cancel catastrophically. The
+numeric context the later stages run in is chosen by
+:func:`lindley_alt._numeric.context_for`.
 """
 
 from __future__ import annotations
@@ -21,14 +12,6 @@ import math
 from fractions import Fraction
 
 from .distributions import _over_common_denominator
-from .errors import AsymmetryDetected
-
-#: Largest degree handled by the double-precision context. Measured over fit
-#: corpora (triangular + random piecewise, two rates each): through degree
-#: 12 the double context keeps integral-equation residuals below 6e-12 and
-#: density dips above -4e-12; residuals first cross 1e-9 at degree 15.
-#: Threshold = that crossing minus a safety margin.
-EXTENDED_DEGREE = 12
 
 
 def exact_nu(coeffs: tuple[float, ...], rate: float) -> list[Fraction]:
@@ -57,8 +40,8 @@ def exact_nu(coeffs: tuple[float, ...], rate: float) -> list[Fraction]:
 def exact_char(nu_fr: list[Fraction], rate: float) -> list[Fraction]:
     """Characteristic coefficients r^{2n}(r^2 - mu^2) + (-1)^n S(r)S(-r), exact.
 
-    In exact arithmetic the odd coefficients vanish identically; the guard
-    below is the internal bug tripwire for that invariant.
+    The odd coefficients vanish identically: the products of (i, j) and
+    (j, i) with i + j odd cancel.
     """
     n = len(nu_fr) - 1
     (mu, *nu), den = _over_common_denominator([rate, *nu_fr[:n]])
@@ -71,8 +54,4 @@ def exact_char(nu_fr: list[Fraction], rate: float) -> list[Fraction]:
         for j in range(n):
             term = nu[i] * nu[j]
             coeffs[i + j] += -sign * term if j % 2 else sign * term
-    if any(coeffs[1::2]):
-        raise AsymmetryDetected(
-            "odd characteristic coefficients nonzero in exact arithmetic"
-        )
     return [Fraction(v, scale) for v in coeffs]

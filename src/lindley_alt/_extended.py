@@ -1,6 +1,6 @@
 """The extended numeric context: mpmath at the working precision of a solve.
 
-The only module that imports mpmath. The solver and
+:func:`lindley_alt._numeric.context_for` and
 :func:`lindley_alt._numeric.context_of` import it on first use, so a process
 whose solves all stay at or below ``EXTENDED_DEGREE`` never loads mpmath.
 """
@@ -12,7 +12,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from ._numeric import working_dps
 from .errors import DegenerateMode
 
 
@@ -26,11 +25,7 @@ class _Extended:
     ldexp = staticmethod(mp.ldexp)
     polish_iters = 80
 
-    @staticmethod
-    def precision(n: int):
-        return mp.workdps(working_dps(n))
-
-    exact = staticmethod(lambda values, rate: list(values))  # the exact rationals themselves
+    exact = staticmethod(list)  # the exact rationals themselves
 
     @staticmethod
     def real(x) -> mp.mpf:
@@ -38,7 +33,7 @@ class _Extended:
         x = Fraction(x)
         return mp.mpf(x.numerator) / x.denominator
 
-    # the tolerances follow the working precision set by precision(n)
+    # the tolerances follow the working precision context_for(n) sets
     @property
     def eps(self) -> mp.mpf:
         return mp.mpf(10) ** (-(mp.mp.dps + 5))

@@ -3,9 +3,16 @@
 Every failure mode gets its own type so callers (and the CLI's exit-code
 mapping) can distinguish bad *inputs* from *numerical* breakdowns:
 
-* input/validation errors: :class:`NotACdf`, :class:`OrderTooHigh`
-* numerical failures: everything deriving from :class:`NumericalError`
+* input/validation errors (exit 2): everything deriving from
+  :class:`InputError`, among them :class:`NotACdf`, :class:`OrderTooHigh`
+  and a rate mu out of the double context's range
+* numerical failures (exit 3): everything deriving from
+  :class:`NumericalError`
 * advisory only: :class:`IllConditioned` (a warning — the solve still returns)
+
+An invariant that holds by construction, such as the evenness of the
+characteristic polynomial, has no type of its own: the solver checks it
+among its postconditions (:class:`PostconditionViolation`).
 """
 
 __all__ = [
@@ -14,7 +21,6 @@ __all__ = [
     "NotACdf",
     "OrderTooHigh",
     "NumericalError",
-    "AsymmetryDetected",
     "RepeatedRoot",
     "ConvergenceFailure",
     "DegenerateMode",
@@ -60,14 +66,6 @@ class OrderTooHigh(InputError):
 
 class NumericalError(LindleyAltError):
     """Base class for numerical failures in the solver or the oracles."""
-
-
-class AsymmetryDetected(NumericalError):
-    """The characteristic polynomial acquired nonzero odd coefficients.
-
-    The polynomial is even by construction, so this signals an internal bug
-    rather than a bad input.
-    """
 
 
 class RepeatedRoot(NumericalError):

@@ -30,11 +30,10 @@ Numerical backbone:
 * the derivative-hierarchy weights and characteristic coefficients are
   assembled in exact rational arithmetic (they cancel catastrophically in
   floating point);
-* every later stage is written once against a numeric context
-  (:mod:`lindley_alt._numeric`): double precision up to degree 12, mpmath
-  above — double precision loses ~log10(n!) digits there and visibly
-  corrupts the density. Both contexts solve the mode system the same way:
-  exact power-of-two equilibration, then the context's own factorization.
+* every later stage is written once against a numeric context, double or
+  mpmath, which :func:`lindley_alt._numeric.context_for` picks by degree.
+  Both contexts solve the mode system the same way: exact power-of-two
+  equilibration, then the context's own factorization.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from ._exact import EXTENDED_DEGREE, exact_char, exact_nu
+from ._exact import exact_char, exact_nu
 from ._moments import _moments
-from ._numeric import DOUBLE, context_of, lu_solve
+from ._numeric import DOUBLE, context_for, context_of, lu_solve
 from .distributions import (
     ExponentialService,
     PolynomialCdf,
@@ -371,8 +370,10 @@ def assemble_linear_system(
 
 
 def _verify_structure(nu, char, mu: float, roots: np.ndarray) -> None:
-    """Structural invariants asserted on every solve: on the exact weights
-    ``nu`` and characteristic coefficients ``char``, and on the roots."""
+    """Structural invariants asserted on every solve: on the weights ``nu``
+    and characteristic coefficients ``char`` the context starts from (their
+    double roundings in the double context, the exact rationals in the
+    extended one), and on the roots."""
     if nu[-1] != mu:
         raise PostconditionViolation("top_weight", f"nu_n = {float(nu[-1])!r} != rate")
     if any(char[1::2]):
@@ -388,38 +389,22 @@ def _verify_structure(nu, char, mu: float, roots: np.ndarray) -> None:
         raise PostconditionViolation("conjugation_closure", "roots not conjugate-paired")
 
 
-def _context(n: int):
-    """The numeric context of a degree-n solve: extended above EXTENDED_DEGREE.
-
-    The weight sums, characteristic cross products and row assembly cancel
-    to ~log10(n!) digits; past the measured cliff every stage after the
-    exact weights runs in extended precision and is rounded to double once,
-    at the end. mpmath is imported only here, on the first such solve.
-    """
-    if n <= EXTENDED_DEGREE:
-        return DOUBLE
-    from ._extended import EXTENDED
-
-    return EXTENDED
-
-
 def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     """Compute the exact steady-state waiting-time law.
 
     Orchestrates the full closed-form pipeline (weights, characteristic
     polynomial, paired roots, balanced mode columns, linear system) and
-    verifies every structural invariant before returning. Up to degree 12
-    everything runs in double precision; above that the assembly
-    cancellation outgrows double precision and the same pipeline runs in
-    exact rational / extended-precision arithmetic. In both, the mode system
-    is equilibrated by powers of two before it is factored. The density
-    series is summed from the modes in the same context, before the
-    strengths are rounded.
+    verifies every structural invariant before returning. The weights and
+    characteristic coefficients are exact rationals; every later stage runs
+    in the numeric context of :func:`lindley_alt._numeric.context_for`. In
+    both contexts the mode system is equilibrated by powers of two before it
+    is factored. The density series is summed from the modes in the same
+    context, before the strengths are rounded.
 
     Raises
     ------
     InputError
-        For a law of degree 0, or (up to degree 12) a mu that puts a
+        For a law of degree 0, or (in the double context) a mu that puts a
         nonzero exact coefficient, or the characteristic polynomial's terms
         at a root, outside the double range, or a mu at which the roots span
         more than the double seeds of the root finder resolve.
@@ -441,16 +426,15 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         raise InputError("preparation CDF must have degree >= 1 (degenerate B == 0)")
     n = prep.degree
     mu = svc.rate
-    ctx = _context(n)
-    with ctx.precision(n):
-        nu_fr = ctx.exact(exact_nu(prep.coeffs, mu), mu)
-        char_fr = ctx.exact(exact_char(nu_fr, mu), mu)
-        nu = [ctx.real(v) for v in nu_fr]
+    with context_for(n) as ctx:
         try:
-            roots = find_roots([ctx.real(v) for v in char_fr])
+            nu_ex = ctx.exact(exact_nu(prep.coeffs, mu))
+            char_ex = ctx.exact(exact_char(nu_ex, mu))
+            nu = [ctx.real(v) for v in nu_ex]
+            roots = find_roots([ctx.real(v) for v in char_ex])
         except OverflowError as exc:
             raise InputError(f"mu = {mu!r} is out of range: {exc}") from None
-        _verify_structure(nu_fr, char_fr, mu, roots.astype(complex))
+        _verify_structure(nu_ex, char_ex, mu, roots.astype(complex))
         basis = [(r,) + _pair_coefficients(r, nu, mu, n) for r in roots[: n + 1].tolist()]
         mat, rhs = assemble_linear_system(basis, nu, prep, svc)
         sol, cond = lu_solve(mat, rhs, ctx)

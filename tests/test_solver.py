@@ -507,7 +507,7 @@ def test_integer_exact_arithmetic_matches_fractions():
             nu = exact_nu(law.coeffs, mu)
             assert nu == _exact_nu_fractions(law.coeffs, mu)
             # the exact weights (extended path) and their doubles (double path)
-            for weights in (nu, DOUBLE.exact(nu, mu)):
+            for weights in (nu, DOUBLE.exact(nu)):
                 reference = _exact_char_fractions([Fraction(w) for w in weights], mu)
                 assert exact_char(weights, mu) == reference
 
@@ -600,13 +600,13 @@ class TestExtendedPrecision:
                 assert got[m] == pytest.approx(expect, rel=1e-14, abs=1e-300)
 
     def test_pipelines_agree_at_the_crossover_degree(self, triangular, monkeypatch):
-        import lindley_alt.solver as solver_module
+        import lindley_alt._numeric as numeric_module
         from lindley_alt.bernstein import bernstein_fit
 
         fit = bernstein_fit(triangular, 12)
         svc = ExponentialService(0.8)
         sol_double = solve(fit, svc)  # degree 12 = last double-path degree
-        monkeypatch.setattr(solver_module, "EXTENDED_DEGREE", 0)
+        monkeypatch.setattr(numeric_module, "EXTENDED_DEGREE", 0)
         sol_extended = solve(fit, svc)
         assert sol_double.pi0 == pytest.approx(sol_extended.pi0, abs=1e-11)
         xs = np.linspace(1e-6, 1.0, 513)
@@ -629,6 +629,18 @@ class TestExtendedPrecision:
         assert float(np.min(sol.density(xs))) >= -1e-12
         resid = integral_equation_residual(sol, fit, svc, np.linspace(0.0, 1.0, 33))
         assert resid < 1e-9
+
+    def test_working_digits_are_scoped_to_the_solve(self, triangular):
+        # the extended context raises mpmath's global precision only inside
+        # a solve, whether the solve returns or raises
+        fit = bernstein_fit(triangular, 16)
+        before = mpmath.mp.dps
+        solve(fit, ExponentialService(1.0))
+        assert mpmath.mp.dps == before
+        with pytest.raises(PostconditionViolation) as info:
+            solve(fit, ExponentialService(1e12))
+        assert info.value.invariant == "density_series"
+        assert mpmath.mp.dps == before
 
     def test_tiny_rate_solves_once_equilibrated(self, triangular):
         # the system's entries span far past the double range here; solved
