@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import _HOME, _LAZY, __version__
 from .errors import InputError, NotACdf, NumericalError
@@ -81,11 +80,14 @@ _TABLE1_HEADER = (
 )
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Validated flag set of one command invocation."""
+    """Validated flag set of one command invocation.
 
-    command: str
+    The class attributes are the defaults; keyword arguments override them.
+    A plain class rather than a dataclass, since ``dataclasses`` would load
+    ``inspect`` (and ``ast``, ``dis``, ``tokenize``) on every CLI import.
+    """
+
     dist: str | None = None
     mu: float = 1.0
     order: int | None = None
@@ -95,7 +97,12 @@ class RunConfig:
     out: str | None = None
     fmt: str = "json"
 
-    def __post_init__(self):
+    def __init__(self, command: str, **flags):
+        unknown = flags.keys() - RunConfig.__annotations__.keys()
+        if unknown:
+            raise TypeError(f"RunConfig got unknown fields: {', '.join(sorted(unknown))}")
+        self.command = command
+        self.__dict__.update(flags)
         problems = []
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             problems.append(f"mu must be positive and finite, got {self.mu!r}")
@@ -251,16 +258,21 @@ def _verify_checks(config: RunConfig):
     residual = integral_equation_residual(solution, dist, svc, pts)
     yield ("integral_equation_residual", residual, 1e-7)
 
+    # the Monte Carlo check runs first, so its samples are freed before the
+    # fixed point allocates its grids
+    sim = simulate(dist, svc, config.samples, seed=config.seed)
+    ks = ks_distance(sim.samples, solution.cdf)
+    pi0_gap = abs(sim.pi0_hat - solution.pi0)
+    del sim
+
     grid, _ = fixed_point_solve(FixedPointProblem(dist, svc, grid_size=config.grid))
     gap = float(np.max(np.abs(eval_waiting_cdf(solution, grid.x) - grid.values)))
     yield ("fixed_point_cdf_gap", gap, 2e-4)
 
-    sim = simulate(dist, svc, config.samples, seed=config.seed)
-    ks = ks_distance(sim.samples, solution.cdf)
     # sampling noise shrinks like 1/sqrt(samples): 5e-3 at the default 10^6
     mc_tol = 5e-3 * math.sqrt(10**6 / config.samples)
     yield ("monte_carlo_ks", ks, mc_tol)
-    yield ("monte_carlo_pi0_gap", abs(sim.pi0_hat - solution.pi0), mc_tol)
+    yield ("monte_carlo_pi0_gap", pi0_gap, mc_tol)
 
 
 def cmd_verify(config: RunConfig) -> int:

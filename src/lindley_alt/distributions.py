@@ -504,7 +504,9 @@ def _inverse_table(dist):
     last entry holds Newton's start in each cell (:func:`_hermite_starts`).
     """
     starts, _ = dist._pieces
-    grid = np.union1d(np.linspace(0.0, 1.0, _SAMPLER_CELLS + 1), starts)
+    # np.union1d would load numpy.ma (through np.unique) for this one call
+    grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, _SAMPLER_CELLS + 1), starts]))
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     piece = np.searchsorted(starts, grid, side="right") - 1
     taylor = np.zeros((max(len(rows) for *_, rows in dist._taylor), grid.size))
     for j, (a, b, rows) in enumerate(dist._taylor):

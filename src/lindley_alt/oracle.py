@@ -56,14 +56,18 @@ MIN_SIMULATION_STEPS = 10**4
 #: then its exponentials. It fixes which draws feed which step, not memory.
 _CHUNK = 1 << 20
 
-#: Steps drawn per work block: one pass of the sampler
-#: (``distributions._SAMPLER_BLOCK``). A block's scratch arrays (deviates,
-#: service times, the sampler's temporaries) are 32 KiB each, so a
-#: simulation holds its 8-byte-per-step path and little else.
+#: Steps per work buffer: a chunk's draws and its recursion run through one
+#: buffer of this many steps (512 KiB), allocated once per simulation.
+_WORK = 1 << 16
+
+#: Steps drawn per pass of the sampler (``distributions._SAMPLER_BLOCK``),
+#: whose scratch arrays (deviates, service times, the sampler's
+#: temporaries) are then 32 KiB each.
 _DRAW_BLOCK = 1 << 12
 
-#: Steps per block of the recursion's blocked scan.
-_SCAN_BLOCK = 512
+#: Steps per block of the recursion's blocked scan: a work buffer is
+#: scanned as 512 blocks side by side.
+_SCAN_BLOCK = 128
 
 #: Sorted samples per block of :func:`ks_distance`'s scan. A block has at
 #: most this many distinct values, so its temporaries are at most 64 KiB,
@@ -278,7 +282,15 @@ def density_estimate(grid: GridCdf) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Sorted samples of the recursion with the exact-zero fraction."""
+    """Sorted samples of the recursion with the exact-zero fraction.
+
+    ``samples`` comes from ``np.zeros(n)``, and :func:`simulate` writes only
+    its positive states, at the end. A fresh mapping keeps the atom's zeros
+    in untouched zero pages, so the array holds about 8 (1 - pi0) n bytes
+    of resident memory. In a process that has already freed a larger block,
+    the allocator may hand back heap memory instead: the same values, but
+    resident.
+    """
 
     samples: np.ndarray = field(repr=False)
     pi0_hat: float
@@ -359,11 +371,13 @@ def simulate(
     then its exponentials (service times). Two cursors read a chunk
     ``_DRAW_BLOCK`` steps at a time: the service cursor starts as many raw
     draws past the uniform one as the chunk has steps (``Generator.random``
-    takes one raw draw per double), and B - A goes straight into the path.
-    :func:`_recurse` then turns the chunk into waiting times in place, as a
-    blocked scan whose path equals the step-by-step loop's bit for bit, and
-    the next chunk's uniforms start where its exponentials ended. Memory is
-    the path's 8 bytes a step plus one work block.
+    takes one raw draw per double), and B - A goes into a work buffer of
+    ``_WORK`` steps. :func:`_recurse` turns the buffer into waiting times in
+    place, as a blocked scan that equals the step-by-step loop bit for bit,
+    and the buffer's post-warmup states that are positive are copied to the
+    end of the samples; the next chunk's uniforms start where its
+    exponentials ended. The zeros are only counted, so memory is about
+    8 (1 - pi0) n bytes plus the work buffer (see :class:`SimulationResult`).
     """
     if n < MIN_SIMULATION_STEPS:
         raise ValueError(
@@ -376,28 +390,36 @@ def simulate(
     stream = np.random.SeedSequence(seed, spawn_key=(0,))
     uniforms, services = (np.random.Generator(np.random.Philox(stream)) for _ in range(2))
     scale = 1.0 / svc.rate
+    total = warmup + n
     draws = np.empty(_DRAW_BLOCK)
-    path = np.empty(warmup + n)
+    work = np.empty(min(_WORK, total))
+    samples = np.zeros(n)
+    top = n  # samples[top:] holds the positive states found so far
     wait = 0.0
-    for start in range(0, path.size, _CHUNK):
-        chunk = path[start : start + _CHUNK]
+    for start in range(0, total, _CHUNK):
+        end = min(start + _CHUNK, total)
         services.bit_generator.state = uniforms.bit_generator.state
-        services.bit_generator.random_raw(chunk.size, output=False)
-        for first in range(0, chunk.size, draws.size):
-            x = chunk[first : first + draws.size]
-            u = draws[: x.size]
-            x[:] = inverse_cdf_array(dist, uniforms.random(out=u))
-            services.standard_exponential(out=u)
-            u *= scale  # exponential(scale) rounds scale * standard_exponential
-            x -= u
-        wait = _recurse(chunk, wait, chunk)
+        services.bit_generator.random_raw(end - start, output=False)
+        for first in range(start, end, work.size):
+            x = work[: min(work.size, end - first)]
+            for at in range(0, x.size, draws.size):
+                block = x[at : at + draws.size]
+                u = draws[: block.size]
+                block[:] = inverse_cdf_array(dist, uniforms.random(out=u))
+                services.standard_exponential(out=u)
+                u *= scale  # exponential(scale) rounds scale * standard_exponential
+                block -= u
+            wait = _recurse(x, wait, x)
+            kept = x[max(warmup - first, 0) :]
+            positive = kept > 0.0
+            count = np.count_nonzero(positive)
+            np.compress(positive, kept, out=samples[top - count : top])
+            top -= count
         uniforms.bit_generator.state = services.bit_generator.state
-    samples = path[warmup:]
-    samples.sort()
-    zeros = int(np.searchsorted(samples, 0.0, side="right"))
+    samples[top:].sort()
     return SimulationResult(
         samples=samples,
-        pi0_hat=zeros / n,
+        pi0_hat=top / n,
         n=n,
         warmup=warmup,
         seed=seed,

@@ -9,6 +9,9 @@ freezes them only for regression.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -346,10 +349,12 @@ class TestSimulation:
 
     @pytest.mark.parametrize("mu", [1e-3, 0.25, 4.0, 1e3])
     def test_path_matches_plain_loop(self, monkeypatch, triangular, mu):
-        # 3,000-step chunks of five 512-step blocks and a 440-step tail, so
-        # the 12,000 steps cross block, tail and chunk boundaries; each
-        # chunk is drawn in 700-step work blocks and a 200-step remainder
+        # 3,000-step chunks of two 1,400-step work buffers and a 200-step
+        # one; a full buffer scans ten 128-step blocks and a 120-step tail,
+        # so the 12,000 steps cross block, tail, buffer and chunk
+        # boundaries, and each buffer is drawn in 700-step passes
         monkeypatch.setattr(oracle, "_CHUNK", 3000)
+        monkeypatch.setattr(oracle, "_WORK", 1400)
         monkeypatch.setattr(oracle, "_DRAW_BLOCK", 700)
         dist = bernstein_fit(triangular, 5)
         svc = ExponentialService(mu)
@@ -363,6 +368,20 @@ class TestSimulation:
                 wait = max(0.0, b - a - wait)
                 path.append(wait)
         assert np.array_equal(result.samples, np.sort(path[1000:]))
+
+    @pytest.mark.parametrize("law", ["uniform", "order-5 fit"])
+    @pytest.mark.parametrize("mu", [1e-3, 4.0, 1e3])
+    @pytest.mark.parametrize("warmup", [0, 1000])
+    @pytest.mark.parametrize("n", [2 * 10**4, 10**6, (1 << 20) + 70_000])
+    def test_samples_match_the_path_simulation(self, triangular, law, mu, warmup, n):
+        # the sizes end inside the first work buffer, inside the first chunk
+        # and inside the second chunk, each off the scan blocks' edges
+        dist = uniform_cdf() if law == "uniform" else bernstein_fit(triangular, 5)
+        svc = ExponentialService(mu)
+        result = simulate(dist, svc, n, warmup=warmup, seed=7)
+        samples, pi0_hat = _path_simulate(dist, svc, n, warmup, seed=7)
+        assert np.array_equal(result.samples, samples)
+        assert result.pi0_hat == pi0_hat
 
     def test_scan_runs_unmerged_blocks_from_their_exact_start(self):
         # x = 1 alternates the state between 1 and 0 from any start in
@@ -439,6 +458,36 @@ class TestKsDistance:
         assert ks_distance(samples, uniform_cdf()) == pytest.approx(0.5 / n, abs=1e-12)
 
 
+def _path_simulate(dist, svc, n, warmup, seed):
+    """The path-based simulation that :func:`simulate` replaced: a float64
+    path of warmup + n states, each chunk drawn into it in place and run
+    through the recursion there, then the whole tail sorted.
+
+    Returns (samples, pi0_hat)."""
+    stream = np.random.SeedSequence(seed, spawn_key=(0,))
+    uniforms, services = (np.random.Generator(np.random.Philox(stream)) for _ in range(2))
+    scale = 1.0 / svc.rate
+    draws = np.empty(oracle._DRAW_BLOCK)
+    path = np.empty(warmup + n)
+    wait = 0.0
+    for start in range(0, path.size, oracle._CHUNK):
+        chunk = path[start : start + oracle._CHUNK]
+        services.bit_generator.state = uniforms.bit_generator.state
+        services.bit_generator.random_raw(chunk.size, output=False)
+        for first in range(0, chunk.size, draws.size):
+            x = chunk[first : first + draws.size]
+            u = draws[: x.size]
+            x[:] = inverse_cdf_array(dist, uniforms.random(out=u))
+            services.standard_exponential(out=u)
+            u *= scale
+            x -= u
+        wait = oracle._recurse(chunk, wait, chunk)
+        uniforms.bit_generator.state = services.bit_generator.state
+    samples = path[warmup:]
+    samples.sort()
+    return samples, int(np.searchsorted(samples, 0.0, side="right")) / n
+
+
 def _ks_unique(samples, cdf):
     """The atom-aware KS distance through np.unique: the reference formula."""
     samples = np.sort(samples)
@@ -450,8 +499,28 @@ def _ks_unique(samples, cdf):
     return float(max(np.max(np.abs(hi - at)), np.max(np.abs(lo - left))))
 
 
+#: Prints how much the resident set of a fresh process grows while it holds
+#: the samples of 4e6 steps of the uniform law at mu = 1 (pi0 ~ 0.69).
+_RESIDENT_GROWTH = """
+import os
+from lindley_alt.distributions import ExponentialService, uniform_cdf
+from lindley_alt.oracle import simulate
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+law, svc = uniform_cdf(), ExponentialService(1.0)
+simulate(law, svc, 10**4)  # loads the generators and builds the sampler table
+before = resident()
+result = simulate(law, svc, {n})
+print(resident() - before)
+"""
+
+
 class TestMemory:
-    """A simulation holds its path and one work block; the KS scan, one block."""
+    """A simulation holds its positive samples and one work buffer; the KS
+    scan, one block."""
 
     def test_simulate_peak_is_the_path_plus_a_work_block(self, triangular):
         dist, svc = bernstein_fit(triangular, 5), ExponentialService(4.0)
@@ -475,3 +544,16 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_atom_zeros_stay_off_the_resident_set(self):
+        # the path-based simulation grew by its whole 8n-byte path
+        n = 4 * 10**6
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _RESIDENT_GROWTH.format(n=n)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 0.6 * 8 * n

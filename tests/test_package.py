@@ -113,6 +113,10 @@ class TestImportBudget:
         modules = _fresh(f"import json, sys, {module}\nprint(json.dumps(sorted(sys.modules)))")
         assert "numpy" not in modules
 
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        modules = _fresh("import json, sys, lindley_alt.cli\nprint(json.dumps(sorted(sys.modules)))")
+        assert not {"dataclasses", "inspect"} & set(modules)
+
     def test_package_import_adds_only_itself_and_its_errors(self):
         added = _fresh(
             "import json, sys\n"
@@ -138,6 +142,14 @@ class TestImportBudget:
         assert not {f"lindley_alt.{m}" for m in _LAYERS} & modules
         # only the service kernel integrates against the exponential
         assert not {"lindley_alt._moments", "lindley_alt._numeric", "cmath"} & modules
+
+    def test_verify_loads_no_numpy_ma(self):
+        code, modules = _run_main(
+            ["verify", "--dist", "triangular", "--order", "5", "--samples", "20000"]
+        )
+        assert code == 0
+        assert "lindley_alt.oracle" in modules
+        assert "numpy.ma" not in modules
 
     def test_solve_loads_no_oracle_or_bounds(self):
         code, modules = _run_main(["solve", "--dist", "uniform"])
