@@ -31,8 +31,9 @@ from functools import partial
 import numpy as np
 
 from .distributions import (
-    PiecewisePolynomialCdf,
+    _LAWS,
     PolynomialCdf,
+    _as_callable,
     _float_cdf,
     _golden_min,
     _over_common_denominator,
@@ -61,9 +62,6 @@ _SUP_BLOCK = _SUP_GRID // 2 + 1
 _SUP_XS = np.arange(_SUP_GRID + 1) / _SUP_GRID
 _SUP_XS.setflags(write=False)
 
-#: Laws evaluated from their pieces; anything else is called.
-_LAWS = (PolynomialCdf, PiecewisePolynomialCdf)
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -83,7 +81,8 @@ def _node_numerators(dist, order: int) -> tuple[list[int], int]:
     sum_i C_i m^i n^(deg-i) / (d n^deg), deg the top degree; F(1) = 1.
     """
     if not isinstance(dist, _LAWS):
-        return _over_common_denominator([dist(m / order) for m in range(order + 1)])
+        cdf = _as_callable(dist)
+        return _over_common_denominator([cdf(m / order) for m in range(order + 1)])
     starts, _, polys = zip(*dist.segments())
     deg = max(map(len, polys)) - 1
     flat, den = _over_common_denominator([c for poly in polys for c in poly])
@@ -108,12 +107,15 @@ def bernstein_fit(dist, order: int) -> PolynomialCdf:
     Parameters
     ----------
     dist:
-        A distribution object or any callable CDF on [0, 1].
+        A CDF on [0, 1]: a law, any object with a callable ``cdf`` (a
+        ``GridCdf``, a ``WaitingTimeSolution``) or a callable.
     order:
         Polynomial degree n >= 1 of the approximant.
 
     Raises
     ------
+    InputError
+        If ``dist`` is none of those (:func:`~lindley_alt.distributions._as_callable`).
     OrderTooHigh
         For orders beyond :data:`MAX_ORDER`.
     NotACdf
@@ -174,7 +176,7 @@ def fit_report(dist, order: int) -> FitReport:
 
 
 def sup_distance(first, second, locate: bool = False):
-    """sup_x |F(x) - G(x)| over [0, 1] for two CDF-like objects.
+    """sup_x |F(x) - G(x)| over [0, 1] for two CDFs as :func:`bernstein_fit` takes them.
 
     Scans a dyadic grid of 2^14 cells, then refines around the first
     largest gap by golden-section search, which must beat the grid strictly.
@@ -212,10 +214,3 @@ def _grid_cdf(obj, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
             _piece_sum(piece, 0, xs[lo:hi], out[lo:hi])
     out[cuts[-1] :] = 1.0  # F(1) = 1
     return out
-
-
-def _as_callable(obj):
-    cdf = getattr(obj, "cdf", None)
-    if callable(cdf):
-        return cdf
-    return obj

@@ -28,7 +28,7 @@ appear because published comparisons have used the one-sided variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,13 +106,7 @@ class BoundReport:
     alternate_bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "contraction": self.contraction,
-            "certified_bound": self.certified_bound,
-            "alternate_constant": self.alternate_constant,
-            "alternate_bound": self.alternate_bound,
-        }
+        return asdict(self)  # the fields in order: the `bound` payload's first keys
 
 
 @dataclass(frozen=True)

@@ -241,12 +241,15 @@ def cmd_bound(config: RunConfig) -> int:
 
 
 def _verify_checks(config: RunConfig):
-    """The three cross-checks behind `verify --dist`.
-
-    Yields (name, measured, threshold) triples; a check passes when
-    measured < threshold.
-    """
+    """The cross-checks behind `verify --dist`, as (passed, text) pairs; a
+    check passes when its measured value is below its threshold."""
     import numpy as np
+
+    def check(name, measured, threshold):
+        limit = f"{threshold:.0e}"
+        if float(limit) != threshold:  # a scaled Monte Carlo tolerance
+            limit = f"{threshold:.3e}"
+        return measured < threshold, f"{name:<32} {measured:.3e} < {limit}"
 
     dist = _polynomial_law(config)
     svc = config.service
@@ -256,7 +259,7 @@ def _verify_checks(config: RunConfig):
 
     pts = np.linspace(1.0 / 1000, 1.0, 1000)
     residual = integral_equation_residual(solution, dist, svc, pts)
-    yield ("integral_equation_residual", residual, 1e-7)
+    yield check("integral_equation_residual", residual, 1e-7)
 
     # the Monte Carlo check runs first, so its samples are freed before the
     # fixed point allocates its grids
@@ -267,31 +270,22 @@ def _verify_checks(config: RunConfig):
 
     grid, _ = fixed_point_solve(FixedPointProblem(dist, svc, grid_size=config.grid))
     gap = float(np.max(np.abs(eval_waiting_cdf(solution, grid.x) - grid.values)))
-    yield ("fixed_point_cdf_gap", gap, 2e-4)
+    yield check("fixed_point_cdf_gap", gap, 2e-4)
 
     # sampling noise shrinks like 1/sqrt(samples): 5e-3 at the default 10^6
     mc_tol = 5e-3 * math.sqrt(10**6 / config.samples)
-    yield ("monte_carlo_ks", ks, mc_tol)
-    yield ("monte_carlo_pi0_gap", pi0_gap, mc_tol)
+    yield check("monte_carlo_ks", ks, mc_tol)
+    yield check("monte_carlo_pi0_gap", pi0_gap, mc_tol)
 
 
 def cmd_verify(config: RunConfig) -> int:
-    if config.dist is None:
-        return _verify_table1_stream(config)
-    failures = 0
-    lines = []
-    for name, measured, threshold in _verify_checks(config):
-        ok = measured < threshold
-        failures += 0 if ok else 1
-        limit = f"{threshold:.0e}"
-        if float(limit) != threshold:  # a scaled Monte Carlo tolerance
-            limit = f"{threshold:.3e}"
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<32} {measured:.3e} < {limit}")
-    _emit("\n".join(lines) + "\n", config.out)
-    return 0 if failures == 0 else 3
+    """One PASS or FAIL line per check of either mode; exit 0 if all pass, else 3."""
+    checks = list(_verify_checks(config) if config.dist is not None else _table1_checks())
+    _emit("".join(f"{'PASS' if ok else 'FAIL'}  {text}\n" for ok, text in checks), config.out)
+    return 0 if all(ok for ok, _ in checks) else 3
 
 
-def _verify_table1_stream(config: RunConfig) -> int:
+def _table1_checks():
     """Recompute table1 through the same code path and compare at 1e-9: each
     row once, with the header's cells; a gap that is not finite fails."""
     import numpy as np
@@ -311,15 +305,9 @@ def _verify_table1_stream(config: RunConfig) -> int:
         raise InputError(
             f"verify: table1 rows are n = {sorted(expected)}, not n = {list(_BENCH_ORDERS)}"
         )
-    lines = []
-    failures = 0
     for n, *want in _table1_rows():
         worst = float(np.max(np.abs(np.subtract(expected[n], want))))  # NaN propagates
-        ok = worst <= 1e-9
-        failures += 0 if ok else 1
-        lines.append(f"{'PASS' if ok else 'FAIL'}  table1 row n={n:<3} max gap {worst:.3e}")
-    _emit("\n".join(lines) + "\n", config.out)
-    return 0 if failures == 0 else 3
+        yield worst <= 1e-9, f"table1 row n={n:<3} max gap {worst:.3e}"
 
 
 def _table1_rows():

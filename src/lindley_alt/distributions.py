@@ -26,7 +26,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import islice
 
@@ -240,12 +240,34 @@ class PiecewisePolynomialCdf(_SampledLaw):
         ]
 
 
+#: The law types, read from their pieces; anything else is read as a plain
+#: CDF (:func:`_as_callable`) or refused (:func:`_require_law`).
+_LAWS = (PolynomialCdf, PiecewisePolynomialCdf)
+
+
+def _pointwise(x, on_array, on_float=None):
+    """The evaluators' one shape rule: an ndarray, list or tuple x gives a
+    float array of its shape (0-d too); a Python or numpy scalar gives a
+    float, bit-equal to the array's value."""
+    if isinstance(x, (np.ndarray, list, tuple)):
+        return np.asarray(on_array(np.asarray(x, dtype=float)))  # 0-d stays an array
+    return on_float(float(x)) if on_float else float(on_array(np.asarray(float(x))))
+
+
+def _as_callable(obj):
+    """The one CDF reader: a callable ``obj.cdf``, else ``obj`` if callable."""
+    for cdf in (getattr(obj, "cdf", None), obj):
+        if callable(cdf):
+            return cdf
+    raise InputError(f"need a callable CDF or an object with one, got {type(obj).__name__}")
+
+
 def eval_cdf(dist, x):
-    """A distribution's CDF at a float or an array: 0 below 0, F(x) on [0, 1], 1 above."""
-    if isinstance(x, np.ndarray):
-        val = _eval_pieces(dist, np.clip(x, 0.0, 1.0), 0)
-        return np.where(x < 0.0, 0.0, np.where(x >= 1.0, 1.0, val))
-    return _float_cdf(dist, float(x))
+    """A distribution's CDF at x (see :func:`_pointwise`): 0 below 0, F(x) on [0, 1], 1 above."""
+    def on_array(xs):
+        val = _eval_pieces(dist, np.clip(xs, 0.0, 1.0), 0)
+        return np.where(xs < 0.0, 0.0, np.where(xs >= 1.0, 1.0, val))
+    return _pointwise(x, on_array, partial(_float_cdf, dist))
 
 
 def _float_cdf(dist, x: float) -> float:
@@ -280,10 +302,11 @@ def eval_density(dist, x):
     The atom at 0, if any, is not part of the density; it is reported
     separately as the distribution's ``atom``.
     """
-    xs = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-    if np.any((xs <= 0.0) | (xs > 1.0)):
-        raise ValueError("density is defined on (0, 1] only")
-    return _eval_pieces(dist, xs, 1)
+    def density(xs):
+        if np.any((xs <= 0.0) | (xs > 1.0)):
+            raise ValueError("density is defined on (0, 1] only")
+        return _eval_pieces(dist, xs, 1)
+    return _pointwise(x, density, density)
 
 
 def _golden_min(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
@@ -415,7 +438,7 @@ def _piecewise_violations(law: PiecewisePolynomialCdf) -> list[str]:
     return problems
 
 
-def _require_law(dist, where: str, kinds=(PolynomialCdf, PiecewisePolynomialCdf)) -> None:
+def _require_law(dist, where: str, kinds=_LAWS) -> None:
     """Raise :class:`InputError` unless ``dist`` is one of the law types ``kinds``.
 
     The solver, the oracles and the bounds read a law's pieces in closed
@@ -684,23 +707,18 @@ def parse_distribution_spec(spec):
     ``{"type": "piecewise", "breaks": [...], "polys": [[...], ...]}``.
     The bare strings ``"uniform"``/``"triangular"`` are shorthand.
     """
+    named = {"uniform": uniform_cdf, "triangular": triangular_cdf}  # either spelling
     if isinstance(spec, str):
         name = spec.strip().lower()
-        if name == "uniform":
-            return uniform_cdf()
-        if name == "triangular":
-            return triangular_cdf()
         try:
-            spec = json.loads(spec)
+            spec = {"type": name} if name in named else json.loads(spec)
         except json.JSONDecodeError as exc:
             raise NotACdf([f"distribution spec is not valid JSON: {exc}"]) from exc
     if not isinstance(spec, dict) or "type" not in spec:
         raise NotACdf(["distribution spec must be an object with a 'type' field"])
     kind = str(spec["type"]).lower()
-    if kind == "uniform":
-        return uniform_cdf()
-    if kind == "triangular":
-        return triangular_cdf()
+    if kind in named:
+        return named[kind]()
     if kind == "polynomial":
         return validate(spec.get("coeffs"))
     if kind == "piecewise":

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
+    _SAMPLER_BLOCK,
     ExponentialService,
+    _as_callable,
     _require_law,
     _service_kernel,
     inverse_cdf_array,
@@ -60,10 +62,9 @@ _CHUNK = 1 << 20
 #: buffer of this many steps (512 KiB), allocated once per simulation.
 _WORK = 1 << 16
 
-#: Steps drawn per pass of the sampler (``distributions._SAMPLER_BLOCK``),
-#: whose scratch arrays (deviates, service times, the sampler's
-#: temporaries) are then 32 KiB each.
-_DRAW_BLOCK = 1 << 12
+#: Steps drawn per pass: one pass of the sampler, so the deviates and
+#: service times are as small as its temporaries.
+_DRAW_BLOCK = _SAMPLER_BLOCK
 
 #: Steps per block of the recursion's blocked scan: a work buffer is
 #: scanned as 512 blocks side by side.
@@ -453,7 +454,7 @@ def ks_distance(samples: np.ndarray, reference) -> float:
         raise ValueError("need a nonempty sample")
     if not _is_sorted(samples):
         samples = np.sort(samples)
-    ref = reference.cdf if hasattr(reference, "cdf") else reference
+    ref = _as_callable(reference)
     size = samples.size
     gaps = []
     last = -1  # the last index of the run before the block

@@ -52,6 +52,7 @@ from ._numeric import DOUBLE, context_for, context_of, lu_solve
 from .distributions import (
     ExponentialService,
     PolynomialCdf,
+    _pointwise,
     _require_law,
     eval_cdf,
 )
@@ -123,8 +124,8 @@ class WaitingTimeSolution:
     [0, 1] as a Chebyshev series summed from the modes' closed-form
     coefficients, and ``integral_series``, its integral from 0, so
     F = pi0 + that integral; they are derived data, left out of equality
-    and hashing. All invariants (normalization, realness,
-    nonnegativity) are verified before construction completes.
+    and hashing. :func:`solve` checks the invariants (normalization,
+    realness, nonnegativity) on the constructed object before it returns.
     """
 
     pi0: float
@@ -541,25 +542,26 @@ def _verify_solution(sol: WaitingTimeSolution, pi0_raw: complex) -> None:
 
 
 def eval_waiting_density(sol: WaitingTimeSolution, x):
-    """Waiting-time density on (0, 1] (the atom at 0 is not included)."""
-    xs = np.asarray(x, dtype=float)
-    if np.any((xs <= 0.0) | (xs > 1.0)):
-        raise ValueError(
-            "waiting-time density is defined on (0, 1]; the mass at 0 is the atom pi0"
-        )
-    out = sol.density_series(xs)
-    return out if isinstance(x, np.ndarray) else float(out.flat[0])
+    """Waiting-time density on (0, 1] (the atom at 0 is not included), at x
+    as :func:`~lindley_alt.distributions._pointwise` reads it."""
+    def density(xs):
+        if np.any((xs <= 0.0) | (xs > 1.0)):
+            raise ValueError(
+                "waiting-time density is defined on (0, 1]; the mass at 0 is the atom pi0"
+            )
+        return sol.density_series(xs)
+    return _pointwise(x, density)
 
 
 def eval_waiting_cdf(sol: WaitingTimeSolution, x):
     """Waiting-time CDF: 0 below 0, atom + integral of the density on [0, 1],
-    1 above."""
-    xs = np.asarray(x, dtype=float)
-    vals = sol.pi0 + sol.integral_series(np.clip(xs, 0.0, 1.0))
-    # at exactly 1 the computed value (1 within 1e-10 by normalization) is
-    # returned rather than clamped, so the endpoint stays a real check
-    out = np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, vals))
-    return out if isinstance(x, np.ndarray) else float(out.flat[0])
+    1 above, at x as :func:`~lindley_alt.distributions._pointwise` reads it."""
+    def cdf(xs):
+        vals = sol.pi0 + sol.integral_series(np.clip(xs, 0.0, 1.0))
+        # at exactly 1 the computed value (1 within 1e-10 by normalization)
+        # is returned rather than clamped, so the endpoint stays a real check
+        return np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, vals))
+    return _pointwise(x, cdf)
 
 
 def integral_equation_residual(

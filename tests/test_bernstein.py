@@ -26,6 +26,7 @@ from lindley_alt.bernstein import (
     sup_distance,
 )
 from lindley_alt.distributions import (
+    ExponentialService,
     PiecewisePolynomialCdf,
     PolynomialCdf,
     _golden_min,
@@ -34,7 +35,9 @@ from lindley_alt.distributions import (
     uniform_cdf,
     validate,
 )
-from lindley_alt.errors import NotACdf, OrderTooHigh
+from lindley_alt.errors import InputError, NotACdf, OrderTooHigh
+from lindley_alt.oracle import FixedPointProblem, fixed_point_solve, ks_distance
+from lindley_alt.solver import solve
 
 
 def triangular_cdf_values(x: np.ndarray) -> np.ndarray:
@@ -311,3 +314,36 @@ class TestSupDistance:
             gaps = np.abs(f(xs) - g(xs))
             k = int(np.argmax(gaps))
             assert sup_distance(first, second, locate=True) == (gaps[k], k / 2**14)
+
+
+class TestCdfReader:
+    """bernstein_fit, fit_report, sup_distance and ks_distance read a CDF
+    through one reader: a law, an object with a callable cdf, or a callable."""
+
+    @pytest.fixture(scope="class")
+    def with_cdf(self):
+        tri, svc = triangular_cdf(), ExponentialService(1.0)
+        grid, _ = fixed_point_solve(FixedPointProblem(tri, svc, grid_size=1024))
+        return {"GridCdf": grid, "WaitingTimeSolution": solve(bernstein_fit(tri, 5), svc)}
+
+    @pytest.mark.parametrize("order", [1, 6])
+    @pytest.mark.parametrize("kind", ["GridCdf", "WaitingTimeSolution"])
+    def test_object_fits_as_its_cdf(self, with_cdf, kind, order):
+        obj = with_cdf[kind]
+        plain = lambda x: obj.cdf(x)  # noqa: E731
+        assert bernstein_fit(obj, order) == bernstein_fit(plain, order)
+        assert fit_report(obj, order) == fit_report(plain, order)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda cdf: bernstein_fit(cdf, 3), id="bernstein_fit"),
+            pytest.param(lambda cdf: fit_report(cdf, 3), id="fit_report"),
+            pytest.param(lambda cdf: sup_distance(cdf, uniform_cdf()), id="sup_distance-first"),
+            pytest.param(lambda cdf: sup_distance(uniform_cdf(), cdf), id="sup_distance-second"),
+            pytest.param(lambda cdf: ks_distance(np.linspace(0.0, 1.0, 5), cdf), id="ks_distance"),
+        ],
+    )
+    def test_a_non_cdf_is_input_error(self, call):
+        with pytest.raises(InputError, match="got object"):
+            call(object())

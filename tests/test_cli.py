@@ -45,6 +45,9 @@ REJECTED_FLAGS = [
     if flag not in kept
 ]
 
+#: The committed table1 output; a change that moves a value updates it.
+TABLE1_FROZEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
+
 TRIANGULAR_SPEC = (
     '{"type": "piecewise", "breaks": [0.0, 0.5, 1.0],'
     ' "polys": [[0.0, 0.0, 2.0], [-1.0, 4.0, -2.0]]}'
@@ -82,6 +85,10 @@ class TestRunConfig:
     def test_rejects_bad_flags(self, kwargs):
         with pytest.raises(InputError):
             RunConfig(command="solve", dist="uniform", **kwargs)
+
+    def test_unknown_field_is_type_error(self):
+        with pytest.raises(TypeError, match="unknown fields: colour, size"):
+            RunConfig(command="solve", size=3, colour="red")
 
 
 class TestSolveCommand:
@@ -324,6 +331,15 @@ class TestTable1Command:
         for n in (1, 5, 10):
             assert rows[n][2] < rows[n][4]  # measured gap below certified bound
 
+    def test_matches_committed_table(self, table1_csv):
+        # table1 | verify compares a run only with itself; this file is the
+        # table as committed, so drift from one change to the next shows
+        got, frozen = table1_csv.splitlines(), TABLE1_FROZEN.read_text().splitlines()
+        assert got[0] == frozen[0] and len(got) == len(frozen)
+        for row, want in zip(got[1:], frozen[1:]):
+            values = [float(c) for c in row.split(",")]
+            assert values == pytest.approx([float(c) for c in want.split(",")], rel=0, abs=1e-9)
+
     def test_round_trip_through_verify(self, table1_csv, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(table1_csv))
         rc = main(["verify"])
@@ -502,6 +518,51 @@ class TestErrorChannels:
         err = json.loads(proc.stderr)
         assert err["error"] == "NotACdf"
         assert err["violations"] == ["coefficients must sum to 1 (F(1) = 1); got 0.0"]
+
+    @pytest.mark.parametrize(
+        "argv,error,text",
+        [
+            (["solve", "--dist", '{"type": "triangular"}'], "InputError",
+             "solve requires a polynomial CDF"),
+            (["solve", "--dist", '{"type": "uniform"}', "--mu", "1e100"], "InputError",
+             "mu = 1e+100 is out of range"),
+            (["fit", "--dist", '{"coeffs": [0, 1]}', "--order", "2"], "NotACdf",
+             "distribution spec must be an object with a 'type' field"),
+            (["fit", "--dist", '{"type": "piecewise", "breaks": [0, 0.5, 1], "polys": [[0, 1]]}',
+              "--order", "2"], "NotACdf", "need one polynomial per interval between breakpoints"),
+            (["fit", "--dist", '{"type": "piecewise", "breaks": [0, 0.6, 0.4, 1], '
+              '"polys": [[0, 1], [0, 1], [0, 1]]}', "--order", "2"], "NotACdf",
+             "breakpoints must be strictly increasing"),
+            (["fit", "--dist", '{"type": "piecewise", "breaks": [0, 1], "polys": [[0, Infinity]]}',
+              "--order", "2"], "NotACdf", "coefficients must be finite"),
+            (["fit", "--dist", '{"type": "piecewise", "breaks": [0, 1], "polys": [[-0.5, 1.5]]}',
+              "--order", "2"], "NotACdf", "value at 0 (atom) must lie in [0, 1); got -0.5"),
+            (["fit", "--dist", '{"type": "piecewise", "breaks": [0, 1], "polys": [[0, 0.5]]}',
+              "--order", "2"], "NotACdf", "value at x = 1 must be 1; got 0.5"),
+        ],
+        ids=["named-triangular-object", "named-uniform-object", "no-type", "piece-count",
+             "breaks-not-increasing", "coefficient-infinite", "atom-negative", "end-not-one"],
+    )
+    def test_refused_input_names_its_violation(self, argv, error, text, capsys):
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == error
+        assert text in (err["violations"] if error == "NotACdf" else err["message"])
+
+    def test_verify_with_empty_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        rc = main(["verify"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "InputError"
+        assert err["message"] == "verify: no --dist given and nothing on stdin"
 
     def test_malformed_json_spec(self, capsys):
         rc = main(["solve", "--dist", "{not json"])

@@ -3,6 +3,7 @@
 import json
 import math
 from bisect import bisect_right
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from lindley_alt.distributions import (
 )
 from lindley_alt.errors import InputError, NotACdf
 from lindley_alt.oracle import FixedPointProblem, simulate
-from lindley_alt.solver import solve
+from lindley_alt.solver import eval_waiting_cdf, eval_waiting_density, solve
 
 
 class TestValidate:
@@ -163,6 +164,12 @@ class TestPiecewise:
                 ((0.0, 1.2), (2.0, -4.6, 3.6)),
             )
 
+    def test_non_numeric_breaks(self):
+        # the spec parser refuses these first, so only a direct call gets here
+        with pytest.raises(NotACdf) as info:
+            PiecewisePolynomialCdf(("0", "half", 1.0), ((0.0, 2.0), (0.0, 1.0)))
+        assert info.value.violations == ["breakpoints and polys must be arrays of numbers"]
+
 
 class TestProbBGreaterA:
     def test_uniform_closed_form(self, uniform, svc1):
@@ -227,8 +234,54 @@ class TestProbBGreaterA:
             assert prob_B_greater_A(fit, ExponentialService(mu)) == pytest.approx(want, rel=rel)
 
 
+class TestShapeRule:
+    """Every evaluator and method gives a float array of the shape of an
+    ndarray (0-d too), a list or a tuple, and a float for a Python or numpy
+    scalar, bit-equal to the array's entry."""
+
+    @pytest.fixture(scope="class")
+    def evaluators(self):
+        tri = triangular_cdf()
+        sol = solve(bernstein_fit(tri, 5), ExponentialService(1.0))
+        return {
+            "eval_cdf": partial(eval_cdf, tri),
+            "eval_density": partial(eval_density, tri),
+            "eval_waiting_cdf": partial(eval_waiting_cdf, sol),
+            "eval_waiting_density": partial(eval_waiting_density, sol),
+            "law.cdf": tri.cdf,
+            "law.density": tri.density,
+            "solution.cdf": sol.cdf,
+            "solution.density": sol.density,
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["eval_cdf", "eval_density", "eval_waiting_cdf", "eval_waiting_density",
+         "law.cdf", "law.density", "solution.cdf", "solution.density"],
+    )
+    def test_one_shape_rule(self, evaluators, name):
+        f = evaluators[name]
+        points = [[0.2, 0.5], [0.9, 1.0]]
+        want = f(np.array(points))
+        assert isinstance(want, np.ndarray) and want.shape == (2, 2)
+        flat = [0.2, 0.5, 0.9, 1.0]
+        for same in (points, tuple(map(tuple, points)), flat, tuple(flat)):
+            got = f(same)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == np.shape(same)
+            assert got.tolist() == np.reshape(want, got.shape).tolist()
+        zero_d = f(np.array(0.5))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        for x, value in zip(flat, want.reshape(-1).tolist()):
+            for scalar in (x, np.float64(x)):
+                got = f(scalar)
+                assert type(got) is float and got == value
+        assert type(f(1)) is float and f(1) == f(np.int64(1)) == want[1, 1]
+
+
 class TestPlainCallables:
-    """Only the fitter and sup_distance (test_bernstein) take a plain callable."""
+    """Only the fitter, sup_distance (test_bernstein) and ks_distance
+    (test_oracle) read a plain callable."""
 
     @pytest.mark.parametrize(
         "call",
@@ -407,6 +460,12 @@ class TestParseSpec:
     def test_named_shorthands(self):
         assert isinstance(parse_distribution_spec("uniform"), PolynomialCdf)
         assert isinstance(parse_distribution_spec("triangular"), PiecewisePolynomialCdf)
+
+    @pytest.mark.parametrize("name", ["uniform", "triangular"])
+    def test_both_spellings_name_one_law(self, name):
+        law = parse_distribution_spec(f" {name.title()} ")
+        assert law == parse_distribution_spec({"type": name})
+        assert law == parse_distribution_spec(json.dumps({"type": name.upper()}))
 
     def test_polynomial_json(self):
         dist = parse_distribution_spec('{"type":"polynomial","coeffs":[0.25,0.75]}')

@@ -117,6 +117,19 @@ class TestImportBudget:
         modules = _fresh("import json, sys, lindley_alt.cli\nprint(json.dumps(sorted(sys.modules)))")
         assert not {"dataclasses", "inspect"} & set(modules)
 
+    def test_cli_import_adds_only_the_standard_library(self):
+        # a cold `python -m lindley_alt.cli` pays for every module it adds
+        added = _fresh(
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import lindley_alt.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        ours = {"lindley_alt", "lindley_alt.errors", "lindley_alt.cli"}
+        assert ours <= set(added)
+        foreign = [m for m in added if m.split(".")[0] not in sys.stdlib_module_names]
+        assert set(foreign) <= ours, foreign
+
     def test_package_import_adds_only_itself_and_its_errors(self):
         added = _fresh(
             "import json, sys\n"
