@@ -94,10 +94,35 @@ class ExponentialService:
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of the rationals over their least common denominator:
-    one power of two for doubles, so later arithmetic needs no gcd."""
-    ratios = [(v if isinstance(v, float) else Fraction(v)).as_integer_ratio() for v in values]
+    one power of two for doubles, so later arithmetic needs no gcd. Floats, ints
+    and Fractions are read as they are, any other real (a numpy float, a 0-d
+    array) through ``float()``, which is exact for those."""
+    ratios = [(v if isinstance(v, (float, int, Fraction)) else float(v)).as_integer_ratio()
+              for v in values]
     den = math.lcm(*(d for _, d in ratios))
     return [num * (den // d) for num, d in ratios], den
+
+
+def _items(values, violation: str) -> list | tuple:
+    """The entries of a list, tuple or ndarray, else :class:`NotACdf`."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if isinstance(values, (list, tuple)):
+        return values
+    raise NotACdf([violation])
+
+
+def _floats(values, violation="coefficients must be an array of numbers") -> tuple[float, ...]:
+    """The one reader of a law's numbers: a list, tuple or 1-d ndarray of
+    Python or numpy ints and floats, as a tuple of Python floats. Bools,
+    strings, mappings and ints past the float range raise :class:`NotACdf`."""
+    values = _items(values, violation)
+    if any(isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+           for v in values):
+        raise NotACdf([violation])
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise NotACdf([violation]) from None
 
 
 def _taylor_rows(a: float, b: float, coeffs):
@@ -190,13 +215,35 @@ class _SampledLaw:
 class PolynomialCdf(_SampledLaw):
     """CDF F(x) = sum_i coeffs[i] * x^i on [0, 1].
 
-    Invariants (enforced by :func:`validate`, which is the intended
-    constructor for untrusted input): coefficients sum to 1, the constant
-    term (the atom at 0) lies in [0, 1), and the derivative polynomial is
-    nonnegative on [0, 1] up to ``DENSITY_TOL``.
+    Checked when built (:class:`NotACdf` lists what fails): finite numbers
+    (stored as floats, :func:`_floats`) of degree >= 1 that sum to 1, a
+    constant term (the atom at 0) in [0, 1), and a derivative >= -``DENSITY_TOL``
+    on [0, 1]. :func:`validate` also trims and snaps untrusted input.
     """
 
     coeffs: tuple[float, ...]
+
+    def __post_init__(self):
+        coeffs = _floats(self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if not coeffs:
+            raise NotACdf(["coefficient sequence is empty"])
+        if any(not math.isfinite(c) for c in coeffs):
+            raise NotACdf(["coefficients must be finite"])
+        if len(coeffs) < 2:
+            raise NotACdf(["degree must be >= 1 after trailing-coefficient trimming"])
+        problems = []
+        total = math.fsum(coeffs)
+        if abs(total - 1.0) > 1e-12:
+            problems.append(f"coefficients must sum to 1 (F(1) = 1); got {total!r}")
+        if not 0.0 <= coeffs[0] < 1.0:
+            problems.append(f"constant term (atom at 0) must lie in [0, 1); got {coeffs[0]!r}")
+        # DENSITY_TOL is an absolute slack, which means something only at unit mass
+        worst = None if problems else _monotone_violation(self._pieces[1][0])
+        if worst is not None:
+            problems.append(f"density dips to {worst:.3e} < -{DENSITY_TOL:g}: CDF not nondecreasing")
+        if problems:
+            raise NotACdf(problems)
 
     @property
     def degree(self) -> int:
@@ -224,20 +271,47 @@ class PiecewisePolynomialCdf(_SampledLaw):
     breakpoints: tuple[float, ...]
     polys: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
-        problems = _piecewise_violations(self)
+    def __post_init__(self):  # the checks of a PolynomialCdf, piece by piece
+        text = "breakpoints and polys must be arrays of numbers"
+        breaks = _floats(self.breakpoints, text)
+        object.__setattr__(self, "breakpoints", breaks)
+        object.__setattr__(self, "polys", tuple(_floats(p, text) for p in _items(self.polys, text)))
+        if len(breaks) < 2 or len(self.polys) != len(breaks) - 1:
+            raise NotACdf(["need one polynomial per interval between breakpoints"])
+        if not all(self.polys):
+            raise NotACdf(["every piece needs at least one coefficient"])
+        problems = []
+        if breaks[0] != 0.0 or breaks[-1] != 1.0:
+            problems.append("breakpoints must start at 0 and end at 1")
+        if any(b1 >= b2 for b1, b2 in zip(breaks, breaks[1:])):
+            raise NotACdf([*problems, "breakpoints must be strictly increasing"])
+        if any(not math.isfinite(c) for poly in self.polys for c in poly):
+            raise NotACdf(["coefficients must be finite"])
+        _, pieces = self._pieces
+        ends = [(cdf[0], cdf[-1]) for *_, (cdf, _) in pieces]  # F(a), F(b): end weights
+        for j in range(1, len(pieces)):
+            gap = ends[j - 1][1] - ends[j][0]
+            if abs(gap) > 1e-12:
+                problems.append(f"discontinuity {gap:.3e} at breakpoint {breaks[j]!r}")
+        atom, final = ends[0][0], ends[-1][1]
+        if not 0.0 <= atom < 1.0:
+            problems.append(f"value at 0 (atom) must lie in [0, 1); got {atom!r}")
+        if abs(final - 1.0) > 1e-12:
+            problems.append(f"value at x = 1 must be 1; got {final!r}")
+        if problems:  # as for a polynomial law: the density slack needs unit mass
+            raise NotACdf(problems)
+        dips = [(j, _monotone_violation(piece)) for j, piece in enumerate(pieces)]
+        problems = [f"density dips to {worst:.3e} on segment {j}: CDF not nondecreasing"
+                    for j, worst in dips if worst is not None]
         if problems:
             raise NotACdf(problems)
 
     @property
     def atom(self) -> float:
-        return float(self.polys[0][0])  # F(0): the first piece starts at 0
+        return self.polys[0][0]  # F(0): the first piece starts at 0
 
     def segments(self) -> list[tuple[float, float, tuple[float, ...]]]:
-        return [
-            (self.breakpoints[j], self.breakpoints[j + 1], tuple(self.polys[j]))
-            for j in range(len(self.polys))
-        ]
+        return list(zip(self.breakpoints, self.breakpoints[1:], self.polys))
 
 
 #: The law types, read from their pieces; anything else is read as a plain
@@ -360,82 +434,15 @@ def _monotone_violation(piece) -> float | None:
 
 
 def validate(coeffs) -> PolynomialCdf:
-    """Validate a coefficient sequence and return the trimmed distribution,
-    which keeps the Bernstein form its monotonicity check built.
-
-    Raises
-    ------
-    NotACdf
-        Carrying the full list of violated requirements.
-    """
-    try:
-        coeffs = [float(c) for c in coeffs]
-    except (TypeError, ValueError):
-        raise NotACdf(["coefficients must be an array of numbers"]) from None
-    if not coeffs:
-        raise NotACdf(["coefficient sequence is empty"])
-    if any(not math.isfinite(c) for c in coeffs):
-        raise NotACdf(["coefficients must be finite"])
+    """The law of untrusted coefficients: trims trailing ones below ``TRIM_TOL``,
+    snaps an atom in [-TRIM_TOL, 0) to 0, then builds the :class:`PolynomialCdf`,
+    which checks itself (:class:`NotACdf` lists every violation)."""
+    coeffs = list(_floats(coeffs))
     while len(coeffs) > 1 and abs(coeffs[-1]) < TRIM_TOL:
         coeffs.pop()
-    if -TRIM_TOL <= coeffs[0] < 0.0:  # a tiny negative atom is 0
+    if coeffs and -TRIM_TOL <= coeffs[0] < 0.0:  # a tiny negative atom is 0
         coeffs[0] = 0.0
-    if len(coeffs) < 2:
-        raise NotACdf(["degree must be >= 1 after trailing-coefficient trimming"])
-    problems = []
-    total = math.fsum(coeffs)
-    if abs(total - 1.0) > 1e-12:
-        problems.append(f"coefficients must sum to 1 (F(1) = 1); got {total!r}")
-    if not 0.0 <= coeffs[0] < 1.0:
-        problems.append(f"constant term (atom at 0) must lie in [0, 1); got {coeffs[0]!r}")
-    law = PolynomialCdf(tuple(coeffs))
-    # DENSITY_TOL is an absolute slack, which means something only at unit mass
-    worst = None if problems else _monotone_violation(law._pieces[1][0])
-    if worst is not None:
-        problems.append(f"density dips to {worst:.3e} < -{DENSITY_TOL:g}: CDF not nondecreasing")
-    if problems:
-        raise NotACdf(problems)
-    return law
-
-
-def _piecewise_violations(law: PiecewisePolynomialCdf) -> list[str]:
-    """All invariant violations of a piecewise law (empty if valid); the value
-    checks read each piece's end weights, F(a) and F(b)."""
-    try:
-        breaks = [float(b) for b in law.breakpoints]
-        coeffs = [float(c) for poly in law.polys for c in poly]
-        if len(breaks) < 2 or len(law.polys) != len(breaks) - 1:
-            return ["need one polynomial per interval between breakpoints"]
-        if not all(map(len, law.polys)):
-            return ["every piece needs at least one coefficient"]
-    except (TypeError, ValueError):
-        return ["breakpoints and polys must be arrays of numbers"]
-    problems = []
-    if breaks[0] != 0.0 or breaks[-1] != 1.0:
-        problems.append("breakpoints must start at 0 and end at 1")
-    if any(b1 >= b2 for b1, b2 in zip(breaks, breaks[1:])):
-        problems.append("breakpoints must be strictly increasing")
-        return problems
-    if any(not math.isfinite(c) for c in coeffs):
-        return ["coefficients must be finite"]
-    _, pieces = law._pieces
-    ends = [(cdf[0], cdf[-1]) for *_, (cdf, _) in pieces]
-    for j in range(1, len(pieces)):
-        gap = ends[j - 1][1] - ends[j][0]
-        if abs(gap) > 1e-12:
-            problems.append(f"discontinuity {gap:.3e} at breakpoint {breaks[j]!r}")
-    atom, final = ends[0][0], ends[-1][1]
-    if not 0.0 <= atom < 1.0:
-        problems.append(f"value at 0 (atom) must lie in [0, 1); got {atom!r}")
-    if abs(final - 1.0) > 1e-12:
-        problems.append(f"value at x = 1 must be 1; got {final!r}")
-    if problems:  # as for a polynomial law: the density slack needs unit mass
-        return problems
-    for j, piece in enumerate(pieces):
-        worst = _monotone_violation(piece)
-        if worst is not None:
-            problems.append(f"density dips to {worst:.3e} on segment {j}: CDF not nondecreasing")
-    return problems
+    return PolynomialCdf(tuple(coeffs))
 
 
 def _require_law(dist, where: str, kinds=_LAWS) -> None:
@@ -722,10 +729,5 @@ def parse_distribution_spec(spec):
     if kind == "polynomial":
         return validate(spec.get("coeffs"))
     if kind == "piecewise":
-        try:
-            breaks = tuple(float(b) for b in spec.get("breaks"))
-            polys = tuple(tuple(float(c) for c in poly) for poly in spec.get("polys"))
-        except (TypeError, ValueError) as exc:
-            raise NotACdf(["piecewise spec needs 'breaks' and 'polys' arrays of numbers"]) from exc
-        return PiecewisePolynomialCdf(breaks, polys)
+        return PiecewisePolynomialCdf(spec.get("breaks"), spec.get("polys"))
     raise NotACdf([f"unknown distribution type {kind!r}"])

@@ -405,10 +405,10 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
     Raises
     ------
     InputError
-        For a law of degree 0, or (in the double context) a mu that puts a
-        nonzero exact coefficient, or the characteristic polynomial's terms
-        at a root, outside the double range, or a mu at which the roots span
-        more than the double seeds of the root finder resolve.
+        For anything but a :class:`PolynomialCdf`, or (in the double context)
+        a mu that puts a nonzero exact coefficient, or the characteristic
+        polynomial's terms at a root, outside the double range, or a mu at
+        which the roots span more than the double seeds of the root finder resolve.
     RepeatedRoot, ConvergenceFailure, DegenerateMode
         Propagated from the corresponding stages.
     PostconditionViolation
@@ -423,8 +423,6 @@ def solve(prep: PolynomialCdf, svc: ExponentialService) -> WaitingTimeSolution:
         number recorded.
     """
     _require_law(prep, "solve", (PolynomialCdf,))
-    if prep.degree < 1:
-        raise InputError("preparation CDF must have degree >= 1 (degenerate B == 0)")
     n = prep.degree
     mu = svc.rate
     with context_for(n) as ctx:

@@ -16,14 +16,16 @@ Double path: the uniform law, triangular fits of orders 1, 3, 5, 8 and 12,
 and two random 3-piece laws (seeds 1 and 2) fitted at orders 4 and 10, each
 at 25 log-spaced rates on [1e-3, 1e9]. Extended path: triangular fits of
 orders 16, 24, 32 and 40 and seed 1 at orders 20 and 32, each at 5
-log-spaced rates on [1e-3, 1e3]. It asserts nothing, and pytest does not
-collect it. Run it from the repository root (about a minute):
+log-spaced rates on [1e-3, 1e3]. It exits 1 if any case ends in an untyped
+error, and asserts nothing about the other columns; pytest does not collect
+it, and CI runs it. Run it from the repository root (about a minute):
 
     PYTHONPATH=src python tests/contract_sweep.py
 """
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 
@@ -64,7 +66,7 @@ def tally(fits, rates) -> dict[str, int]:
     return counts
 
 
-def main() -> None:
+def main() -> int:
     warnings.simplefilter("ignore")  # IllConditioned is advisory
     tri = triangular_cdf()
     seeds = {s: random_piecewise_cdf(np.random.default_rng(s), pieces=3) for s in (1, 2)}
@@ -73,16 +75,18 @@ def main() -> None:
     extended = [bernstein_fit(tri, n) for n in (16, 24, 32, 40)]
     extended += [bernstein_fit(seeds[1], n) for n in (20, 32)]
     print(f"{'path':<10}{'cases':>6}" + "".join(f"{c:>16}" for c in COLUMNS))
-    start = time.perf_counter()
+    start, untyped = time.perf_counter(), 0
     for path, fits, rates in (
         ("double", double, np.logspace(-3, 9, 25)),
         ("extended", extended, np.logspace(-3, 3, 5)),
     ):
         counts = tally(fits, rates)
+        untyped += counts["untyped"]
         row = "".join(f"{counts[c]:>16}" for c in COLUMNS)
         print(f"{path:<10}{len(fits) * len(rates):>6}{row}")
     print(f"{time.perf_counter() - start:.0f} s")
+    return 1 if untyped else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

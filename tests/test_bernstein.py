@@ -347,3 +347,9 @@ class TestCdfReader:
     def test_a_non_cdf_is_input_error(self, call):
         with pytest.raises(InputError, match="got object"):
             call(object())
+
+    def test_numpy_values_fit_as_their_floats(self):
+        # float() of a 0-d array or an np.float32 is exact, so each fits as that float
+        assert bernstein_fit(lambda x: np.array(x), 3) == bernstein_fit(lambda x: x, 3)
+        want = bernstein_fit(lambda x: float(np.float32(x)), 3)
+        assert bernstein_fit(lambda x: np.float32(x), 3) == want

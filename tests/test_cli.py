@@ -48,6 +48,10 @@ REJECTED_FLAGS = [
 #: The committed table1 output; a change that moves a value updates it.
 TABLE1_FROZEN = pathlib.Path(__file__).parent / "data" / "table1.csv"
 
+#: What the law's number reader says of anything but an array of numbers.
+COEFFS_TEXT = "coefficients must be an array of numbers"
+PIECES_TEXT = "breakpoints and polys must be arrays of numbers"
+
 TRIANGULAR_SPEC = (
     '{"type": "piecewise", "breaks": [0.0, 0.5, 1.0],'
     ' "polys": [[0.0, 0.0, 2.0], [-1.0, 4.0, -2.0]]}'
@@ -539,9 +543,22 @@ class TestErrorChannels:
               "--order", "2"], "NotACdf", "value at 0 (atom) must lie in [0, 1); got -0.5"),
             (["fit", "--dist", '{"type": "piecewise", "breaks": [0, 1], "polys": [[0, 0.5]]}',
               "--order", "2"], "NotACdf", "value at x = 1 must be 1; got 0.5"),
+            (["solve", "--dist", '{"type": "polynomial", "coeffs": {"0": 0.3, "1": 0.7}}'],
+             "NotACdf", COEFFS_TEXT),
+            (["solve", "--dist", '{"type": "polynomial", "coeffs": "01"}'], "NotACdf", COEFFS_TEXT),
+            (["solve", "--dist", '{"type": "polynomial", "coeffs": [false, true]}'], "NotACdf",
+             COEFFS_TEXT),
+            (["solve", "--dist", '{"type": "polynomial", "coeffs": ["0.3", "0.7"]}'], "NotACdf",
+             COEFFS_TEXT),
+            (["solve", "--dist", '{"type": "piecewise", "breaks": "01", "polys": [[0, 1]]}'],
+             "NotACdf", PIECES_TEXT),
+            (["solve", "--dist", '{"type": "piecewise", "breaks": [0, 1], "polys": [{"0": 0, "1": 1}]}'],
+             "NotACdf", PIECES_TEXT),
         ],
         ids=["named-triangular-object", "named-uniform-object", "no-type", "piece-count",
-             "breaks-not-increasing", "coefficient-infinite", "atom-negative", "end-not-one"],
+             "breaks-not-increasing", "coefficient-infinite", "atom-negative", "end-not-one",
+             "coeffs-object", "coeffs-string", "coeffs-bools", "coeffs-strings", "breaks-string",
+             "piece-object"],
     )
     def test_refused_input_names_its_violation(self, argv, error, text, capsys):
         rc = main(argv)

@@ -165,10 +165,95 @@ class TestPiecewise:
             )
 
     def test_non_numeric_breaks(self):
-        # the spec parser refuses these first, so only a direct call gets here
+        # the law's one number reader refuses these, whether from a spec or a direct call
         with pytest.raises(NotACdf) as info:
             PiecewisePolynomialCdf(("0", "half", 1.0), ((0.0, 2.0), (0.0, 1.0)))
         assert info.value.violations == ["breakpoints and polys must be arrays of numbers"]
+
+
+TRIANGULAR_POLYS = ((0.0, 0.0, 2.0), (-1.0, 4.0, -2.0))
+
+
+class TestNumberReader:
+    """Both law types read their numbers through one reader and check their
+    invariants when built; ``validate`` adds only trimming and the atom snap."""
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ((0.0, 0.5), "coefficients must sum to 1 (F(1) = 1); got 0.5"),
+            ((0.0, -1.0, 2.0), "density dips to"),  # F' = 4x - 1 < 0 on [0, 1/4)
+            ((1.0,), "degree must be >= 1 after trailing-coefficient trimming"),
+        ],
+        ids=["mass-half", "decreasing", "degree-0"],
+    )
+    def test_polynomial_law_checks_itself(self, coeffs, text):
+        with pytest.raises(NotACdf) as direct:
+            PolynomialCdf(coeffs)
+        with pytest.raises(NotACdf) as validated:
+            validate(coeffs)
+        assert direct.value.violations == validated.value.violations
+        assert direct.value.violations[0].startswith(text)
+
+    def test_string_breakpoint_refused_when_built(self):
+        with pytest.raises(NotACdf) as info:
+            PiecewisePolynomialCdf(("0", 0.5, 1.0), TRIANGULAR_POLYS)
+        assert info.value.violations == ["breakpoints and polys must be arrays of numbers"]
+
+    @pytest.mark.parametrize(
+        "coeffs", [True, "01", {"0": 0.0, "1": 1.0}, [False, True], ["0.3", "0.7"], [0, 10**400],
+                   np.array([[0.0, 1.0]]), np.array(1.0), [0j, 1 + 0j]],
+        ids=["bool", "string", "mapping", "bools", "strings", "int-past-float", "2-d", "0-d", "complex"],
+    )
+    def test_only_arrays_of_real_numbers_are_read(self, coeffs):
+        for build in (PolynomialCdf, validate):
+            with pytest.raises(NotACdf) as info:
+                build(coeffs)
+            assert info.value.violations == ["coefficients must be an array of numbers"]
+
+    def test_float32_numbers_build_the_float_law(self):
+        xs = np.linspace(0.0, 1.0, 1025)
+        tri = triangular_cdf()
+        f32 = partial(np.asarray, dtype=np.float32)
+        laws = [
+            (PiecewisePolynomialCdf(f32(tri.breakpoints), [f32(p) for p in tri.polys]), tri),
+            (PolynomialCdf(f32([0.25, 0.75])), PolynomialCdf((0.25, 0.75))),
+            (PolynomialCdf([np.float32(0.25), np.float32(0.75)]), PolynomialCdf((0.25, 0.75))),
+        ]
+        for law, want in laws:
+            assert law == want
+            assert eval_cdf(law, xs).tobytes() == eval_cdf(want, xs).tobytes()
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [
+            ([0.3, 0.7], (0.3, 0.7)),
+            ((0.3, 0.7), (0.3, 0.7)),
+            (np.array([0.3, 0.7]), (0.3, 0.7)),
+            ([0, 1], (0.0, 1.0)),
+        ],
+        ids=["list", "tuple", "ndarray", "ints"],
+    )
+    def test_validate_keeps_arrays_of_numbers(self, coeffs, want):
+        law = validate(coeffs)
+        assert law == PolynomialCdf(want) and hash(law) == hash(PolynomialCdf(want))
+        assert all(type(c) is float for c in law.coeffs) and type(law.coeffs) is tuple
+
+    def test_laws_hold_tuples_of_floats(self):
+        law = PolynomialCdf([0.3, 0.7])
+        assert law == PolynomialCdf((0.3, 0.7)) and hash(law) == hash(PolynomialCdf((0.3, 0.7)))
+        tri = triangular_cdf()
+        mixed = PiecewisePolynomialCdf(np.array([0, 0.5, 1]), [[0, 0, 2], np.array([-1.0, 4.0, -2.0])])
+        assert mixed == tri and hash(mixed) == hash(tri)
+        assert mixed.breakpoints == (0.0, 0.5, 1.0) and mixed.polys == TRIANGULAR_POLYS
+        assert all(type(c) is float for poly in mixed.polys for c in (*poly, *mixed.breakpoints))
+
+    def test_parsed_spec_with_tuples(self):
+        spec = {"type": "piecewise", "breaks": (0.0, 0.5, 1.0), "polys": TRIANGULAR_POLYS}
+        law = parse_distribution_spec(spec)
+        assert law == triangular_cdf() and hash(law) == hash(triangular_cdf())
+        spec = {"type": "polynomial", "coeffs": (0.3, 0.7)}
+        assert parse_distribution_spec(spec) == PolynomialCdf((0.3, 0.7))
 
 
 class TestProbBGreaterA:
