@@ -23,9 +23,9 @@ error types (pure Python) and ``__version__`` load with it; every other name
 is imported from its home module on first use (PEP 562), so
 ``import lindley_alt`` loads no numpy. The CLI loads layers per command in
 the same way: ``fit`` loads distributions and bernstein, ``solve`` adds the
-solver, ``figure1`` adds the oracles as well, and ``bound``, ``table1`` and
-``verify`` load every layer, the bounds included. ``--version``, ``--help``
-and usage errors load none of them and no numpy.
+solver, and ``bound``, ``table1``, ``verify`` and ``figure1`` load every
+layer, the bounds included. ``--version``, ``--help`` and usage errors load
+none of them and no numpy.
 """
 
 from importlib import import_module

@@ -45,14 +45,6 @@ class _Extended:
     accept_tol = polish_tol
 
     @staticmethod
-    def pow2_scales(mags: np.ndarray) -> np.ndarray:
-        """The power of two nearest 1/m for each magnitude m (1 for m = 0),
-        from m = f 2^e at working precision, so that a magnitude past the
-        double range scales too: log2 m rounds to e - 1 where 2 f^2 < 1."""
-        pairs = map(mp.frexp, mags)
-        return np.array([mp.ldexp(1, (2 * f * f < 1) - e) if f else 1 for f, e in pairs])
-
-    @staticmethod
     def factor_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """``mp.lu_solve``'s solution at working precision. A system singular
         at working precision raises :class:`DegenerateMode`."""

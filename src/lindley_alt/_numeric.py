@@ -4,10 +4,9 @@ Every solver stage is written once, against the small protocol the two
 context objects share: ``exp``/``expm1``, ``frexp``/``ldexp``, the complex
 constructor, conversion of exact rationals (``exact``, ``real``), the
 tolerances of the zero-seeded recurrences (moments and the density series'
-Bessel coefficients) and of the Newton polish, and the two steps of
-:func:`lu_solve` that differ: the power-of-two scale factors
-(``pow2_scales``) and the factorization (``factor_solve``), which hands
-back the context's own numbers. The moment recurrences have no step cap:
+Bessel coefficients) and of the Newton polish, and the one step of
+:func:`lu_solve` that differs, the factorization (``factor_solve``), which
+hands back the context's own numbers. The moment recurrences have no step cap:
 they run downward only at orders j above |r|, where each step shrinks the
 zero seed's error by |r|/j < 1.
 Python ``complex`` and mpmath ``mpc`` share their arithmetic operators, so a
@@ -87,11 +86,6 @@ class _Double:
             return complex(math.inf)
 
     @staticmethod
-    def pow2_scales(mags: np.ndarray) -> np.ndarray:
-        """The power of two nearest 1/m for each magnitude m; 1 for m = 0."""
-        return np.exp2(-np.round(np.log2(np.where(mags > 0.0, mags, 1.0))))
-
-    @staticmethod
     def factor_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """LAPACK's solution, with one step of iterative refinement."""
         y = np.linalg.solve(mat, rhs)
@@ -147,6 +141,18 @@ def context_of(x):
     return EXTENDED
 
 
+def _pow2_scale(m, ctx):
+    """2^-e, or 2^(1-e) where 2 f^2 < 1, for a magnitude m = f 2^e: the power
+    of two nearest 1/m in log2, at working precision. 1 for a zero or NaN m
+    and 0 for an infinite one, as exp2(-round(log2 m)) gives. A double m
+    below 2^-1023 would overflow; the exact stage's range check keeps the
+    mode system's row and column maxima far above that."""
+    f, e = ctx.frexp(m)
+    if 0 < f < math.inf:
+        return ctx.ldexp(1, (2 * f * f < 1) - e)
+    return 0.0 if f == math.inf else 1.0
+
+
 def lu_solve(mat: np.ndarray, rhs: np.ndarray, ctx) -> tuple[np.ndarray, float]:
     """Solution of ``mat @ x = rhs`` in ``ctx``, and the condition number of
     the equilibrated system's double image.
@@ -155,21 +161,22 @@ def lu_solve(mat: np.ndarray, rhs: np.ndarray, ctx) -> tuple[np.ndarray, float]:
     other rows are O(1). Unscaled, the condition number measures that
     scaling, the factorization loses digits, and mpmath's pivot test,
     relative to the matrix norm, refuses solvable systems (order 16 at
-    mu = 1e-150). So rows, then columns, four passes each, are multiplied by
-    ``ctx.pow2_scales`` of their largest magnitude: powers of two, so the
-    scaled system is exactly equivalent. ``ctx.factor_solve`` solves it, and
-    ``x = col_scale * y`` maps the solution back, exactly too.
+    mu = 1e-150). So rows, then columns, are multiplied by :func:`_pow2_scale`
+    of their largest magnitude until a pass changes no scale, at most four:
+    powers of two, so the scaled system is exactly equivalent.
+    ``ctx.factor_solve`` solves it, and ``x = col_scale * y`` maps the
+    solution back, exactly too. A pass that changes no scale leaves every
+    later pass a no-op, so stopping there changes no bit of the result.
     """
-    scaled, mags = mat.copy(), np.abs(mat)  # |2^k z| = 2^k |z| exactly
+    scaled, mags = mat, np.abs(mat)  # |2^k z| = 2^k |z| exactly
     rows = cols = 1
     for _ in range(4):
-        rf = ctx.pow2_scales(np.max(mags, axis=1))
-        for a in (scaled, mags):
-            a *= rf[:, None]
-        rows = rows * rf
-        cf = ctx.pow2_scales(np.max(mags, axis=0))
-        for a in (scaled, mags):
-            a *= cf[None, :]
-        cols = cols * cf
+        rf = np.array([_pow2_scale(m, ctx) for m in np.max(mags, axis=1)])[:, None]
+        scaled, mags = scaled * rf, mags * rf
+        cf = np.array([_pow2_scale(m, ctx) for m in np.max(mags, axis=0)])
+        scaled, mags = scaled * cf, mags * cf
+        rows, cols = rows * rf[:, 0], cols * cf
+        if np.all(rf == 1) and np.all(cf == 1):
+            break
     cond = float(np.linalg.cond(np.asarray(scaled, dtype=complex)))
     return ctx.factor_solve(scaled, rhs * rows) * cols, cond

@@ -34,10 +34,10 @@ from .distributions import (
     _LAWS,
     PolynomialCdf,
     _as_callable,
+    _eval_sorted,
     _float_cdf,
     _golden_min,
     _over_common_denominator,
-    _piece_sum,
     validate,
 )
 from .errors import OrderTooHigh
@@ -202,15 +202,8 @@ def sup_distance(first, second, locate: bool = False):
 
 
 def _grid_cdf(obj, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The CDF at sorted points xs of [0, 1], into ``out``: for a law,
-    :func:`eval_cdf`'s values, each piece's slice summed in place."""
-    if not isinstance(obj, _LAWS):
-        out[:] = _as_callable(obj)(xs)
-        return out
-    starts, pieces = obj._pieces
-    cuts = np.searchsorted(xs, [*starts, 1.0])
-    for piece, lo, hi in zip(pieces, cuts, cuts[1:]):
-        if hi > lo:
-            _piece_sum(piece, 0, xs[lo:hi], out[lo:hi])
-    out[cuts[-1] :] = 1.0  # F(1) = 1
+    """The CDF at sorted points xs of [0, 1], into ``out``."""
+    if isinstance(obj, _LAWS):
+        return _eval_sorted(obj, 0, xs, out)
+    out[:] = _as_callable(obj)(xs)
     return out

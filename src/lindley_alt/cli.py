@@ -18,8 +18,8 @@ table1
     The fixed benchmark scenario (triangular preparation, mu=1,
     n in {1, 5, 10}) as CSV.
 figure1
-    Grid data behind the benchmark figure: fitted preparation CDFs and
-    waiting-time densities, two CSV files of 1025 points.
+    Grid data behind the benchmark figure, from table1's certifications:
+    fitted CDFs and waiting-time densities, two CSV files of 1025 points.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical failure.
 Errors are emitted as one-line JSON on stderr. Every command is
@@ -310,61 +310,46 @@ def _table1_checks():
         yield worst <= 1e-9, f"table1 row n={n:<3} max gap {worst:.3e}"
 
 
-def _table1_rows():
-    """The benchmark rows; shared verbatim by `table1` and `verify`."""
-    tri = triangular_cdf()
-    svc = ExponentialService(1.0)
-    reference = None
-    rows = []
+def _benchmark():
+    """The benchmark scenario, built once per command: the triangular law
+    and its certifications at mu = 1 by n in ``_BENCH_ORDERS``, which share
+    the fixed-point reference the first one makes on ``_BENCH_GRID`` cells."""
+    tri, svc, certs, reference = triangular_cdf(), ExponentialService(1.0), {}, None
     for n in _BENCH_ORDERS:
-        cert = certify_approximation(tri, n, svc, grid_size=_BENCH_GRID, reference=reference)
-        reference = cert.reference
-        rows.append(
-            (
-                n,
-                cert.report.epsilon,
-                cert.density_excess,
-                cert.cdf_distance,
-                cert.report.alternate_bound,
-                cert.report.certified_bound,
-                cert.density_sup,
-            )
-        )
-    return rows
+        certs[n] = certify_approximation(tri, n, svc, grid_size=_BENCH_GRID, reference=reference)
+        reference = certs[n].reference
+    return tri, certs
+
+
+def _table1_rows():
+    """The rows of `table1` and `verify`, read off :func:`_benchmark`'s certifications."""
+    _, certs = _benchmark()
+    return [(n, c.report.epsilon, c.density_excess, c.cdf_distance, c.report.alternate_bound,
+             c.report.certified_bound, c.density_sup) for n, c in certs.items()]
 
 
 def cmd_table1(config: RunConfig) -> int:
-    rows = [(str(n),) + tuple(vals) for n, *vals in _table1_rows()]
-    _emit(_csv(rows, header=_TABLE1_HEADER), config.out)
+    _emit(_csv(_table1_rows(), header=_TABLE1_HEADER), config.out)  # n prints as an integer
     return 0
 
 
 def cmd_figure1(config: RunConfig) -> int:
+    """The benchmark figure's CDFs and densities at 1025 points, read off
+    the certifications `table1` reads (:func:`_benchmark`)."""
     import numpy as np
 
-    tri = triangular_cdf()
-    svc = ExponentialService(1.0)
+    tri, certs = _benchmark()
     xs = np.arange(_TABLE_POINTS) / (_TABLE_POINTS - 1)
-
-    fits = {n: bernstein_fit(tri, n) for n in _BENCH_ORDERS}
-    solutions = {n: solve(fits[n], svc) for n in _BENCH_ORDERS}
-
-    cdf_cols = [xs, eval_cdf(tri, xs)]
-    cdf_cols += [eval_cdf(fits[n], xs) for n in _BENCH_ORDERS]
-    cdf_header = ("x", "F_B") + tuple(f"F_B_fit_n{n}" for n in _BENCH_ORDERS)
-
-    grid, _ = fixed_point_solve(FixedPointProblem(tri, svc, grid_size=_BENCH_GRID))
-    step = _BENCH_GRID // (_TABLE_POINTS - 1)
-    f_ref = density_estimate(grid)[::step]
-    dens_cols = [xs] + [solutions[n].density_series(xs) for n in _BENCH_ORDERS] + [f_ref]
-    dens_header = ("x",) + tuple(f"f_W_fit_n{n}" for n in _BENCH_ORDERS) + ("f_W_reference",)
-
+    cdf = {"x": xs, "F_B": eval_cdf(tri, xs)}
+    cdf.update((f"F_B_fit_n{n}", eval_cdf(c.fit.fitted, xs)) for n, c in certs.items())
+    density = {"x": xs}
+    density.update((f"f_W_fit_n{n}", c.solution.density_series(xs)) for n, c in certs.items())
+    reference = certs[_BENCH_ORDERS[0]].reference  # the one all certifications share
+    density["f_W_reference"] = density_estimate(reference)[:: _BENCH_GRID // (_TABLE_POINTS - 1)]
     prefix = config.out or "figure1"
-    _emit(_csv(zip(*[c.tolist() for c in cdf_cols]), header=cdf_header), f"{prefix}_cdf.csv")
-    _emit(
-        _csv(zip(*[c.tolist() for c in dens_cols]), header=dens_header),
-        f"{prefix}_density.csv",
-    )
+    for name, cols in (("cdf", cdf), ("density", density)):
+        table = _csv(zip(*[c.tolist() for c in cols.values()]), header=tuple(cols))
+        _emit(table, f"{prefix}_{name}.csv")
     sys.stdout.write(f"wrote {prefix}_cdf.csv and {prefix}_density.csv\n")
     return 0
 
@@ -405,7 +390,7 @@ _COMMANDS = {
     "table1": (cmd_table1, "benchmark table: triangular, mu=1, n=1,5,10", ("out",),
                ("distributions", "bounds")),
     "figure1": (cmd_figure1, "benchmark figure data as two CSV files", ("out",),
-                ("distributions", "bernstein", "solver", "oracle")),
+                ("distributions", "oracle", "bounds")),
 }
 
 

@@ -88,8 +88,13 @@ class ExponentialService:
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.rate, (int, float)) and self.rate > 0 and math.isfinite(self.rate)):
+        try:  # read by the law's number reader, and stored as a float
+            (rate,) = _floats((self.rate,))
+        except NotACdf:
+            rate = math.nan
+        if not 0.0 < rate < math.inf:
             raise ValueError(f"service rate must be a positive finite real, got {self.rate!r}")
+        object.__setattr__(self, "rate", rate)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -370,6 +375,23 @@ def _eval_pieces(dist, xs, k: int):
     return val
 
 
+def _eval_sorted(dist, k: int, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row k (F^(k)/k!) of a law at nondecreasing points xs of [0, 1], into
+    ``out``: each piece sums its run of points in place by :func:`_piece_sum`,
+    bit-equal to each point's own sum; 0 past a piece's degree, and F(1) = 1.
+    Rows 0 and 1 come from ``_pieces``, so they build no higher Taylor row."""
+    pieces = dist._pieces[1] if k < 2 else dist._taylor
+    cuts = [0, *np.searchsorted(xs, [a for a, _, _ in pieces[1:]]).tolist(), xs.size]
+    for piece, lo, hi in zip(pieces, cuts, cuts[1:]):
+        if k >= len(piece[2]):
+            out[lo:hi] = 0.0
+        elif hi > lo:
+            _piece_sum(piece, k, xs[lo:hi], out[lo:hi])
+    if k == 0:
+        out[np.searchsorted(xs, 1.0) :] = 1.0  # F(1) = 1
+    return out
+
+
 def eval_density(dist, x):
     """Evaluate the density (CDF derivative) at x in (0, 1].
 
@@ -533,17 +555,12 @@ def _inverse_table(dist):
     searchsorted(row 0, k / m) at the edges of m equal deviate buckets. The
     last entry holds Newton's start in each cell (:func:`_hermite_starts`).
     """
-    starts, _ = dist._pieces
     # np.union1d would load numpy.ma (through np.unique) for this one call
-    grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, _SAMPLER_CELLS + 1), starts]))
+    grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, _SAMPLER_CELLS + 1), dist._pieces[0]]))
     grid = grid[np.append(True, grid[1:] != grid[:-1])]
-    piece = np.searchsorted(starts, grid, side="right") - 1
-    taylor = np.zeros((max(len(rows) for *_, rows in dist._taylor), grid.size))
-    for j, (a, b, rows) in enumerate(dist._taylor):
-        at = piece == j
-        for k in range(len(rows)):
-            taylor[k, at] = _piece_sum((a, b, rows), k, grid[at])
-    taylor[0, -1] = 1.0
+    taylor = np.empty((max(len(rows) for *_, rows in dist._taylor), grid.size))
+    for k, row in enumerate(taylor):
+        _eval_sorted(dist, k, grid, row)
     guide = np.searchsorted(taylor[0], np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
     return grid, taylor, guide, _hermite_starts(grid, taylor)
 

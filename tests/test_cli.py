@@ -432,6 +432,51 @@ class TestFigure1Command:
         assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_files_match_the_construction_from_fits_and_solves(self, tmp_path, capsys):
+        prefix = tmp_path / "fig"
+        assert main(["figure1", "--out", str(prefix)]) == 0
+        assert capsys.readouterr().out == f"wrote {prefix}_cdf.csv and {prefix}_density.csv\n"
+        cdf_text, density_text = _figure1_reference()
+        assert (tmp_path / "fig_cdf.csv").read_text() == cdf_text
+        assert (tmp_path / "fig_density.csv").read_text() == density_text
+
+    def test_reads_the_benchmark_certifications(self, tmp_path, capsys, monkeypatch):
+        # figure1 takes its fits, solutions and reference grid from the
+        # certifications table1 reads, and makes no such call of its own
+        import lindley_alt.cli as cli_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("figure1 made a call of its own")
+
+        for name in ("bernstein_fit", "solve", "fixed_point_solve", "FixedPointProblem"):
+            monkeypatch.setattr(cli_module, name, refuse, raising=False)
+        assert main(["figure1", "--out", str(tmp_path / "fig")]) == 0
+
+
+def _figure1_reference() -> tuple[str, str]:
+    """The two figure1 files as first built: each fit, solve and the
+    fixed-point reference made on their own."""
+    import numpy as np
+
+    from lindley_alt.cli import _csv
+    from lindley_alt.distributions import ExponentialService, eval_cdf
+    from lindley_alt.oracle import FixedPointProblem, density_estimate, fixed_point_solve
+    from lindley_alt.solver import solve
+
+    tri, svc, orders = triangular_cdf(), ExponentialService(1.0), (1, 5, 10)
+    xs = np.arange(1025) / 1024
+    fits = {n: bernstein_fit(tri, n) for n in orders}
+    solutions = {n: solve(fits[n], svc) for n in orders}
+    cdf_cols = [xs, eval_cdf(tri, xs)] + [eval_cdf(fits[n], xs) for n in orders]
+    cdf_header = ("x", "F_B") + tuple(f"F_B_fit_n{n}" for n in orders)
+    grid, _ = fixed_point_solve(FixedPointProblem(tri, svc, grid_size=2**14))
+    f_ref = density_estimate(grid)[:: 2**14 // 1024]
+    dens_cols = [xs] + [solutions[n].density_series(xs) for n in orders] + [f_ref]
+    dens_header = ("x",) + tuple(f"f_W_fit_n{n}" for n in orders) + ("f_W_reference",)
+    return (_csv(zip(*[c.tolist() for c in cdf_cols]), header=cdf_header),
+            _csv(zip(*[c.tolist() for c in dens_cols]), header=dens_header))
+
+
 class TestLayerBinding:
     @pytest.mark.parametrize(
         "argv",

@@ -11,12 +11,15 @@ import pytest
 
 from conftest import gammainc_contraction, random_piecewise_cdf, random_polynomial_cdf
 from lindley_alt import distributions
-from lindley_alt.bernstein import bernstein_fit
+from lindley_alt.bernstein import _SUP_BLOCK, _SUP_XS, bernstein_fit
 from lindley_alt.distributions import (
     ExponentialService,
     PiecewisePolynomialCdf,
     PolynomialCdf,
+    _eval_sorted,
+    _hermite_starts,
     _laplace,
+    _piece_sum,
     eval_cdf,
     eval_density,
     inverse_cdf,
@@ -254,6 +257,121 @@ class TestNumberReader:
         assert law == triangular_cdf() and hash(law) == hash(triangular_cdf())
         spec = {"type": "polynomial", "coeffs": (0.3, 0.7)}
         assert parse_distribution_spec(spec) == PolynomialCdf((0.3, 0.7))
+
+
+class TestServiceRate:
+    """The service rate is read as a law's numbers are and stored as a float."""
+
+    @pytest.mark.parametrize(
+        "rate, want",
+        [(np.float32(1.0), 1.0), (np.int64(2), 2.0), (np.float64(1.5), 1.5), (3, 3.0), (0.5, 0.5)],
+        ids=["float32", "int64", "float64", "int", "float"],
+    )
+    def test_numbers_are_stored_as_floats(self, rate, want):
+        svc = ExponentialService(rate)
+        assert type(svc.rate) is float and svc.rate == want
+        assert svc == ExponentialService(want) and hash(svc) == hash(ExponentialService(want))
+
+    @pytest.mark.parametrize(
+        "rate",
+        [True, False, np.True_, "1.0", None, 1j, 0.0, -1.0, math.inf, math.nan, 10**400],
+        ids=["true", "false", "numpy-bool", "string", "none", "complex", "zero", "negative",
+             "inf", "nan", "int-past-float"],
+    )
+    def test_anything_else_is_refused(self, rate):
+        with pytest.raises(ValueError) as info:
+            ExponentialService(rate)
+        assert str(info.value) == f"service rate must be a positive finite real, got {rate!r}"
+
+
+def _mixed_degree_laws():
+    """A linear piece beside a quadratic one, and a constant piece between two
+    linear ones: pieces whose Taylor tables have different lengths."""
+    return [
+        PiecewisePolynomialCdf((0.0, 0.5, 1.0), ((0.0, 0.5), (0.5, -1.5, 2.0))),
+        PiecewisePolynomialCdf((0.0, 0.25, 0.75, 1.0), ((0.0, 2.0), (0.5,), (-1.0, 2.0))),
+    ]
+
+
+def _sorted_evaluator_laws() -> dict:
+    """Laws of 1-4 pieces and fits of orders 1-40, by test id."""
+    rng = np.random.default_rng(32)
+    tri = triangular_cdf()
+    laws = {"triangular": tri, "uniform": uniform_cdf()}
+    laws.update(zip(("linear-quadratic", "constant-middle"), _mixed_degree_laws()))
+    laws.update((f"pieces{p}-{i}", random_piecewise_cdf(rng, pieces=p))
+                for p in (1, 2, 3, 4) for i in range(2))
+    other = random_piecewise_cdf(rng, pieces=3)
+    for name, law in (("triangular", tri), ("pieces3", other)):
+        laws.update((f"fit-{name}-n{n}", bernstein_fit(law, n)) for n in range(1, 41))
+    return laws
+
+
+_EVALUATOR_LAWS = _sorted_evaluator_laws()
+over_laws = pytest.mark.parametrize("law", list(_EVALUATOR_LAWS.values()), ids=list(_EVALUATOR_LAWS))
+
+
+def _point_row(dist, k: int, x: float) -> float:
+    """Row k of a law at one point, from the piece holding it (the last one
+    at x = 1): :func:`_piece_sum` on a float, 0 past the piece's degree."""
+    pieces = dist._taylor
+    piece = pieces[min(bisect_right([a for a, _, _ in pieces], x), len(pieces)) - 1]
+    if k == 0 and x >= 1.0:
+        return 1.0
+    return _piece_sum(piece, k, x) if k < len(piece[2]) else 0.0
+
+
+def _checked_points(dist, xs):
+    """Every 37th point, the last, and the points next to each breakpoint."""
+    cuts = np.searchsorted(xs, [a for a, _, _ in dist._taylor])
+    idx = np.concatenate([np.arange(0, xs.size, 37), [xs.size - 1], cuts - 1, cuts, cuts + 1])
+    return np.unique(np.clip(idx, 0, xs.size - 1))
+
+
+def _inverse_table_reference(dist):
+    """The sampler table as first written: each Taylor row filled piece by
+    piece through a mask of the grid points the piece holds."""
+    starts, _ = dist._pieces
+    grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, distributions._SAMPLER_CELLS + 1), starts]))
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    piece = np.searchsorted(starts, grid, side="right") - 1
+    taylor = np.zeros((max(len(rows) for *_, rows in dist._taylor), grid.size))
+    for j, (a, b, rows) in enumerate(dist._taylor):
+        at = piece == j
+        for k in range(len(rows)):
+            taylor[k, at] = _piece_sum((a, b, rows), k, grid[at])
+    taylor[0, -1] = 1.0
+    buckets = distributions._GUIDE_BUCKETS
+    guide = np.searchsorted(taylor[0], np.arange(buckets + 1) / buckets)
+    return grid, taylor, guide, _hermite_starts(grid, taylor)
+
+
+class TestSortedEvaluator:
+    """One evaluator routes nondecreasing points to a law's pieces, for the
+    sup scan's blocks and for every row of the sampler table."""
+
+    @over_laws
+    def test_bit_equal_to_each_points_own_sum(self, law):
+        blocks = [_SUP_XS[start : start + _SUP_BLOCK] for start in range(0, _SUP_XS.size, _SUP_BLOCK)]
+        grid = law._sampler_table[0]
+        rows = max(len(rows) for *_, rows in law._taylor)
+        for xs, ks in [*((block, (0, 1)) for block in blocks), (grid, range(rows + 1))]:
+            idx = _checked_points(law, xs)
+            for k in ks:
+                got = _eval_sorted(law, k, xs, np.full(xs.size, np.nan))
+                want = [_point_row(law, k, x) for x in xs[idx].tolist()]
+                assert got[idx].tobytes() == np.array(want).tobytes()
+
+    @over_laws
+    def test_sampler_table_is_unchanged(self, law):
+        for got, want in zip(law._sampler_table, _inverse_table_reference(law)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_low_rows_build_no_taylor_table(self, triangular):
+        fit = bernstein_fit(triangular, 9)
+        _eval_sorted(fit, 1, _SUP_XS, np.empty(_SUP_XS.size))
+        assert "_taylor" not in vars(fit)
 
 
 class TestProbBGreaterA:

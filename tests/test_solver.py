@@ -17,10 +17,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import mode_cdf, mode_density, random_polynomial_cdf
+from conftest import mode_cdf, mode_density, random_piecewise_cdf, random_polynomial_cdf
+from lindley_alt import solver as solver_module
 from lindley_alt._exact import exact_char, exact_nu
 from lindley_alt._moments import _moments
-from lindley_alt._numeric import DOUBLE
+from lindley_alt._numeric import DOUBLE, _pow2_scale, lu_solve
 from lindley_alt.bernstein import bernstein_fit
 from lindley_alt.distributions import (
     ExponentialService,
@@ -552,6 +553,131 @@ class TestConditioning:
         sol = solve(fit, ExponentialService(1.0))
         assert sol.condition_number < 1e9
         assert not [w for w in recwarn if issubclass(w.category, IllConditioned)]
+
+
+def _double_scales_reference(mags):
+    """The double rule the scaling started from: exp2(-round(log2 m)), 1 at m = 0."""
+    return np.exp2(-np.round(np.log2(np.where(mags > 0.0, mags, 1.0))))
+
+
+def _extended_scales_reference(mags):
+    """The extended rule the scaling started from, at working precision."""
+    pairs = map(mpmath.frexp, mags)
+    return np.array([mpmath.ldexp(1, (2 * f * f < 1) - e) if f else 1 for f, e in pairs])
+
+
+def _lu_solve_reference(mat, rhs, ctx):
+    """The equilibrated solve as first written: four row-then-column passes,
+    each context with its own scaling rule."""
+    scales = _double_scales_reference if ctx is DOUBLE else _extended_scales_reference
+    scaled, mags = mat.copy(), np.abs(mat)
+    rows = cols = 1
+    for _ in range(4):
+        rf = scales(np.max(mags, axis=1))
+        for a in (scaled, mags):
+            a *= rf[:, None]
+        rows = rows * rf
+        cf = scales(np.max(mags, axis=0))
+        for a in (scaled, mags):
+            a *= cf[None, :]
+        cols = cols * cf
+    cond = float(np.linalg.cond(np.asarray(scaled, dtype=complex)))
+    return ctx.factor_solve(scaled, rhs * rows) * cols, cond
+
+
+class _Captured(Exception):
+    pass
+
+
+def _mode_systems(cases, monkeypatch):
+    """(mat, rhs, ctx, digits) of each case's mode system: every (law, mu)
+    is solved up to its linear system, which is kept and not solved."""
+    systems = []
+
+    def capture(mat, rhs, ctx):
+        systems.append((mat, rhs, ctx, mpmath.mp.dps))
+        raise _Captured
+
+    monkeypatch.setattr(solver_module, "lu_solve", capture)
+    for law, mu in cases:
+        with pytest.raises(_Captured):
+            solve(law, ExponentialService(mu))
+    monkeypatch.undo()
+    return systems
+
+
+class _CountingContext:
+    """A context that counts its ``frexp`` calls: one per row and column scale."""
+
+    def __init__(self, ctx):
+        self.ctx, self.calls = ctx, 0
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def frexp(self, m):
+        self.calls += 1
+        return self.ctx.frexp(m)
+
+
+def _sweep_cases():
+    """Double-path laws like the solve sweep's: the constructive generators at
+    orders 1-12, mu log-uniform on [0.25, 4]."""
+    rng = np.random.default_rng(32)
+    cases = []
+    for order in range(1, 13):
+        for draw in range(8):
+            if draw % 2:
+                law = bernstein_fit(random_piecewise_cdf(rng, max_pieces=4), order)
+            else:
+                law = random_polynomial_cdf(rng, max_degree=order)
+            cases.append((law, float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))))
+    return cases
+
+
+def _edge_cases():
+    tri = triangular_cdf()
+    cases = [(bernstein_fit(tri, n), 1.0) for n in (13, 16, 20, 24)]
+    return cases + [(bernstein_fit(tri, 16), 1e-150), (bernstein_fit(tri, 12), 1e4)]
+
+
+class TestEquilibration:
+    """One scaling rule for both contexts, run until a pass changes no scale."""
+
+    @pytest.mark.parametrize("cases", [_sweep_cases, _edge_cases], ids=["sweep", "edges"])
+    def test_bit_equal_to_four_passes_of_two_rules(self, cases, monkeypatch):
+        for mat, rhs, ctx, digits in _mode_systems(cases(), monkeypatch):
+            with mpmath.workdps(digits):
+                counting = _CountingContext(ctx)
+                sol, cond = lu_solve(mat, rhs, counting)
+                want, want_cond = _lu_solve_reference(mat, rhs, ctx)
+            assert list(map(repr, sol.tolist())) == list(map(repr, want.tolist()))
+            assert repr(cond) == repr(want_cond)
+            # a pass that changes no scale ends the loop: at most two run
+            assert 0 < counting.calls <= 2 * sum(mat.shape)
+
+    def test_scale_rule_matches_the_double_rule(self):
+        rng = np.random.default_rng(7)
+        mags = 10.0 ** rng.uniform(-304.0, 304.0, 10**6)
+        mags[:4] = [0.0, math.nan, math.inf, 1.0]
+        got = np.array([_pow2_scale(m, DOUBLE) for m in mags.tolist()])
+        assert np.array_equal(got, _double_scales_reference(mags), equal_nan=True)
+
+    def test_scale_rule_matches_the_extended_rule_past_the_double_range(self):
+        from lindley_alt._extended import EXTENDED
+
+        rng = np.random.default_rng(8)
+        with mpmath.workdps(60):
+            mantissas = [mpmath.mpf(float(m)) for m in rng.uniform(1.0, 10.0, 2000)]
+            powers = rng.integers(309, 5000, 2000) * rng.choice([-1, 1], 2000)
+            mags = np.array([m * mpmath.mpf(10) ** int(p) for m, p in zip(mantissas, powers)]
+                            + [mpmath.mpf(0)])
+            got = np.array([_pow2_scale(m, EXTENDED) for m in mags])
+            want = _extended_scales_reference(mags)
+            assert all(g == w for g, w in zip(got.tolist(), want.tolist()))
+            # each scale brings its magnitude within a factor sqrt(2) of 1
+            assert all(mpmath.mpf(0.5) ** 0.5 <= g * m <= 2 ** 0.5
+                       for g, m in zip(got[:-1].tolist(), mags[:-1].tolist()))
 
 
 def test_degree_zero_rejected():
