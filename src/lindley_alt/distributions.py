@@ -333,6 +333,23 @@ def _pointwise(x, on_array, on_float=None):
     return on_float(float(x)) if on_float else float(on_array(np.asarray(float(x))))
 
 
+def _density_points(xs):
+    """xs (a float or an array) if every point lies in (0, 1], the one
+    domain of a density; NaN does not. Else ValueError."""
+    if not np.all((xs > 0.0) & (xs <= 1.0)):
+        raise ValueError("a density is defined on (0, 1] only; the mass at 0 is the atom")
+    return xs
+
+
+def _unit_points(xs: np.ndarray, what: str) -> np.ndarray:
+    """The array xs if every point lies in [0, 1], the one domain of deviates
+    and of the residual's points; NaN does not, an empty array does. Else
+    ValueError. A min and a max reduction, with no temporaries."""
+    if not (xs.min(initial=1.0) >= 0.0 and xs.max(initial=0.0) <= 1.0):
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return xs
+
+
 def _as_callable(obj):
     """The one CDF reader: a callable ``obj.cdf``, else ``obj`` if callable."""
     for cdf in (getattr(obj, "cdf", None), obj):
@@ -393,15 +410,14 @@ def _eval_sorted(dist, k: int, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def eval_density(dist, x):
-    """Evaluate the density (CDF derivative) at x in (0, 1].
+    """Evaluate the density (CDF derivative) at x in (0, 1] (see
+    :func:`_pointwise` and :func:`_density_points`).
 
     The atom at 0, if any, is not part of the density; it is reported
     separately as the distribution's ``atom``.
     """
     def density(xs):
-        if np.any((xs <= 0.0) | (xs > 1.0)):
-            raise ValueError("density is defined on (0, 1] only")
-        return _eval_pieces(dist, xs, 1)
+        return _eval_pieces(dist, _density_points(xs), 1)
     return _pointwise(x, density, density)
 
 
@@ -532,13 +548,8 @@ def prob_B_greater_A(dist, svc: ExponentialService) -> float:
 
 
 def inverse_cdf(dist, u: float) -> float:
-    """The x with F(x) = u, by safeguarded Newton (see :func:`inverse_cdf_array`).
-
-    The atom at 0 maps the whole deviate range [0, atom] to 0, and u = 1
-    maps to 1.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("deviate must lie in [0, 1]")
+    """The x with F(x) = u, by safeguarded Newton (see :func:`inverse_cdf_array`,
+    which also holds the rule for u)."""
     return float(inverse_cdf_array(dist, np.array([float(u)]))[0])
 
 
@@ -689,12 +700,12 @@ def inverse_cdf_array(dist, u: np.ndarray) -> np.ndarray:
     finds its cell through a guide table and solves F(x) = u there by
     safeguarded Newton on the law's own polynomial piece, to about an ulp
     of x. Draws are handled ``_SAMPLER_BLOCK`` at a time, which keeps the
-    temporaries small. Deviates at or below the atom map to 0, deviates at
-    or above 1 to 1.
+    temporaries small. Deviates in [0, atom] map to 0 and the deviate 1 to
+    1; a deviate outside [0, 1], NaN included, is a ValueError
+    (:func:`_unit_points`).
     """
     _require_law(dist, "inverse_cdf")
-    u = np.asarray(u, dtype=float)
-    flat = u.reshape(-1)
+    flat = _unit_points(np.asarray(u, dtype=float).reshape(-1), "deviates")
     out = np.where(flat >= 1.0, 1.0, 0.0)
     inside = np.flatnonzero((flat > dist.atom) & (flat < 1.0))
     if inside.size:
@@ -702,7 +713,7 @@ def inverse_cdf_array(dist, u: np.ndarray) -> np.ndarray:
         for first in range(0, inside.size, _SAMPLER_BLOCK):
             at = inside[first : first + _SAMPLER_BLOCK]
             out[at] = _newton_block(table, flat[at])
-    return out.reshape(u.shape)
+    return out.reshape(np.shape(u))
 
 
 def sample(dist, rng: np.random.Generator) -> float:

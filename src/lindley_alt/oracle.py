@@ -27,6 +27,7 @@ from .distributions import (
     _SAMPLER_BLOCK,
     ExponentialService,
     _as_callable,
+    _pointwise,
     _require_law,
     _service_kernel,
     inverse_cdf_array,
@@ -109,8 +110,9 @@ class GridCdf:
         return np.arange(self.grid_size + 1) / self.grid_size
 
     def cdf(self, x):
-        """Piecewise-linear interpolation (0 below 0, 1 above 1)."""
-        return np.interp(x, self.x, self.values, left=0.0, right=1.0)
+        """Piecewise-linear interpolation (0 below 0, 1 above 1), at x as
+        :func:`~lindley_alt.distributions._pointwise` reads it."""
+        return _pointwise(x, lambda xs: np.interp(xs, self.x, self.values, left=0.0, right=1.0))
 
 
 @dataclass(frozen=True)
@@ -299,9 +301,13 @@ class SimulationResult:
     warmup: int
     seed: int
 
-    def empirical_cdf(self, x) -> np.ndarray:
-        """Right-continuous empirical CDF of the samples."""
-        return np.searchsorted(self.samples, x, side="right") / self.samples.size
+    def empirical_cdf(self, x):
+        """Right-continuous empirical CDF of the samples, NaN at NaN, at x as
+        :func:`~lindley_alt.distributions._pointwise` reads it."""
+        def share(xs):  # searchsorted sorts NaN last, past every sample
+            at_or_below = np.searchsorted(self.samples, xs, side="right") / self.samples.size
+            return np.where(np.isnan(xs), xs, at_or_below)
+        return _pointwise(x, share)
 
 
 def _recurse_loop(x: np.ndarray, wait: float, path: np.ndarray) -> float:

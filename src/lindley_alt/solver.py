@@ -52,8 +52,10 @@ from ._numeric import DOUBLE, context_for, context_of, lu_solve
 from .distributions import (
     ExponentialService,
     PolynomialCdf,
+    _density_points,
     _pointwise,
     _require_law,
+    _unit_points,
     eval_cdf,
 )
 from .errors import (
@@ -540,15 +542,10 @@ def _verify_solution(sol: WaitingTimeSolution, pi0_raw: complex) -> None:
 
 
 def eval_waiting_density(sol: WaitingTimeSolution, x):
-    """Waiting-time density on (0, 1] (the atom at 0 is not included), at x
-    as :func:`~lindley_alt.distributions._pointwise` reads it."""
-    def density(xs):
-        if np.any((xs <= 0.0) | (xs > 1.0)):
-            raise ValueError(
-                "waiting-time density is defined on (0, 1]; the mass at 0 is the atom pi0"
-            )
-        return sol.density_series(xs)
-    return _pointwise(x, density)
+    """Waiting-time density on (0, 1] (the atom at 0, pi0, is not included), at
+    x as :func:`~lindley_alt.distributions._pointwise` and
+    :func:`~lindley_alt.distributions._density_points` read it."""
+    return _pointwise(x, lambda xs: sol.density_series(_density_points(xs)))
 
 
 def eval_waiting_cdf(sol: WaitingTimeSolution, x):
@@ -582,6 +579,9 @@ def integral_equation_residual(
     InputError
         If that takes more than ``_RESIDUAL_NODES`` nodes: the node rule
         needs memory quadratic in the count (26,058 nodes asked for 5 GiB).
+    ValueError
+        If a point lies outside [0, 1] or is NaN, where the two series are
+        extrapolated (:func:`~lindley_alt.distributions._unit_points`).
     """
     f, mass = sol.density_series, sol.integral_series
     count = (prep.degree + f.coef.size) // 2 + 1
@@ -591,7 +591,7 @@ def integral_equation_residual(
             f"{2 * _RESIDUAL_NODES - 1 - prep.degree} terms (mu up to about 1e5); "
             f"this one has {f.coef.size}"
         )
-    x = np.atleast_1d(np.asarray(points, dtype=float)).reshape(-1)
+    x = _unit_points(np.asarray(points, dtype=float).reshape(-1), "residual points")
     nodes, weights = np.polynomial.legendre.leggauss(count)
     b = 1.0 - x
     y = 0.5 * b[:, None] * (1.0 + nodes)  # the nodes mapped onto [0, 1 - x]

@@ -32,7 +32,7 @@ from lindley_alt.distributions import (
     validate,
 )
 from lindley_alt.errors import InputError, NotACdf
-from lindley_alt.oracle import FixedPointProblem, simulate
+from lindley_alt.oracle import FixedPointProblem, GridCdf, simulate
 from lindley_alt.solver import eval_waiting_cdf, eval_waiting_density, solve
 
 
@@ -437,30 +437,40 @@ class TestProbBGreaterA:
             assert prob_B_greater_A(fit, ExponentialService(mu)) == pytest.approx(want, rel=rel)
 
 
+@pytest.fixture(scope="module")
+def evaluators():
+    """Every pointwise evaluator and method of a law, a solution, a
+    fixed-point CDF and a Monte Carlo sample."""
+    tri = triangular_cdf()
+    svc = ExponentialService(1.0)
+    sol = solve(bernstein_fit(tri, 5), svc)
+    grid = GridCdf(4, np.array([0.5, 0.6, 0.7, 0.8, 1.0]))
+    sim = simulate(tri, svc, 10**4, seed=3)
+    return {
+        "eval_cdf": partial(eval_cdf, tri),
+        "eval_density": partial(eval_density, tri),
+        "eval_waiting_cdf": partial(eval_waiting_cdf, sol),
+        "eval_waiting_density": partial(eval_waiting_density, sol),
+        "law.cdf": tri.cdf,
+        "law.density": tri.density,
+        "solution.cdf": sol.cdf,
+        "solution.density": sol.density,
+        "uniform.density": uniform_cdf().density,
+        "GridCdf.cdf": grid.cdf,
+        "SimulationResult.empirical_cdf": sim.empirical_cdf,
+    }
+
+
 class TestShapeRule:
     """Every evaluator and method gives a float array of the shape of an
     ndarray (0-d too), a list or a tuple, and a float for a Python or numpy
     scalar, bit-equal to the array's entry."""
 
-    @pytest.fixture(scope="class")
-    def evaluators(self):
-        tri = triangular_cdf()
-        sol = solve(bernstein_fit(tri, 5), ExponentialService(1.0))
-        return {
-            "eval_cdf": partial(eval_cdf, tri),
-            "eval_density": partial(eval_density, tri),
-            "eval_waiting_cdf": partial(eval_waiting_cdf, sol),
-            "eval_waiting_density": partial(eval_waiting_density, sol),
-            "law.cdf": tri.cdf,
-            "law.density": tri.density,
-            "solution.cdf": sol.cdf,
-            "solution.density": sol.density,
-        }
-
     @pytest.mark.parametrize(
         "name",
         ["eval_cdf", "eval_density", "eval_waiting_cdf", "eval_waiting_density",
-         "law.cdf", "law.density", "solution.cdf", "solution.density"],
+         "law.cdf", "law.density", "solution.cdf", "solution.density",
+         "GridCdf.cdf", "SimulationResult.empirical_cdf"],
     )
     def test_one_shape_rule(self, evaluators, name):
         f = evaluators[name]
@@ -480,6 +490,55 @@ class TestShapeRule:
                 got = f(scalar)
                 assert type(got) is float and got == value
         assert type(f(1)) is float and f(1) == f(np.int64(1)) == want[1, 1]
+
+
+class TestDomainRules:
+    """Each rule about the points an evaluator accepts has one home: a
+    density takes points of (0, 1], the sampler deviates of [0, 1]; NaN
+    lies in neither. A CDF takes every real and gives NaN at NaN."""
+
+    DENSITY_MESSAGE = "a density is defined on (0, 1] only; the mass at 0 is the atom"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["eval_density", "eval_waiting_density", "law.density", "solution.density",
+         "uniform.density"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, 0.0])
+    def test_densities_refuse_points_outside_zero_one(self, evaluators, name, bad):
+        # the uniform law's density row is a constant, so without the check
+        # eval_density(uniform, [0.5, nan]) would read [1.0, 1.0]
+        f = evaluators[name]
+        for x in (bad, np.float64(bad), np.array(bad), [0.5, bad], np.array([[0.5], [bad]])):
+            with pytest.raises(ValueError) as info:
+                f(x)
+            assert str(info.value) == self.DENSITY_MESSAGE
+
+    def test_every_cdf_is_nan_at_nan(self, evaluators):
+        # np.searchsorted sorts NaN past every sample, which would read 1.0
+        for name in ("eval_cdf", "eval_waiting_cdf", "law.cdf", "solution.cdf", "GridCdf.cdf",
+                     "SimulationResult.empirical_cdf"):
+            f = evaluators[name]
+            assert math.isnan(f(math.nan)), name
+            got = f([0.5, math.nan])
+            assert got[0] == f(0.5) and math.isnan(got[1]), name
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, -math.inf, math.inf])
+    def test_deviates_outside_the_unit_interval_are_refused(self, triangular, bad):
+        # the sampler's masks alone would map NaN and -0.5 to 0.0, 1.5 to 1.0
+        for call in (
+            lambda: inverse_cdf_array(triangular, np.array([0.5, bad])),
+            lambda: inverse_cdf_array(triangular, [[bad]]),
+            lambda: inverse_cdf(triangular, bad),
+        ):
+            with pytest.raises(ValueError, match=r"^deviates must lie in \[0, 1\]$"):
+                call()
+        # the ends of the interval and the atom keep their values
+        law = validate([0.3, 0.7])
+        got = inverse_cdf_array(law, np.array([0.0, 0.3, 1.0]))
+        assert got.tolist() == [0.0, 0.0, 1.0]
+        assert [inverse_cdf(law, u) for u in (0.0, 0.3, 1.0)] == [0.0, 0.0, 1.0]
+        assert inverse_cdf_array(law, np.empty((0, 2))).shape == (0, 2)
 
 
 class TestPlainCallables:

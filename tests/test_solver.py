@@ -277,6 +277,17 @@ class TestResidualOracle:
         with pytest.raises(InputError, match=f"{sol.density_series.coef.size}"):
             integral_equation_residual(sol, validate([0.0, 1.0]), svc, [0.5])
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+    def test_points_outside_the_unit_interval_are_refused(self, bad):
+        # the two series extrapolate past [0, 1]: on this fit the points 1.5
+        # and -0.5 would give "residuals" of 0.110 and 0.129, and NaN nan
+        svc = ExponentialService(1.0)
+        fit = bernstein_fit(triangular_cdf(), 5)
+        sol = solve(fit, svc)
+        with pytest.raises(ValueError, match=r"^residual points must lie in \[0, 1\]$"):
+            integral_equation_residual(sol, fit, svc, [0.0, bad, 1.0])
+        assert integral_equation_residual(sol, fit, svc, [0.0, 1.0]) < 1e-10
+
     def test_series_within_the_node_cap_is_checked(self):
         svc = ExponentialService(1e4)
         sol = solve(validate([0.0, 1.0]), svc)
